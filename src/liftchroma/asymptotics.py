@@ -36,9 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_graph import BaseGraph, adjacency_spectrum, validate
-from .errors import DivergentSeriesError, DomainError, NumericInstabilityError
-
-WALK_ROUNDING_TOL = 1e-6
+from .errors import DivergentSeriesError, DomainError
 
 
 @dataclass(frozen=True)
@@ -83,39 +81,21 @@ def lambdas(k: int) -> tuple[int, int]:
     return (k - 1) ** 2 + 1, (k - 1) ** 2 - 1
 
 
-def power_sums(alpha: float, d: int, J: int) -> list[float]:
-    """s_j = (beta^+)^j + (beta^-)^j for j = 1..J via the real recurrence
-    s_j = alpha s_{j-1} - (d-1) s_{j-2}, s_0 = 2, s_1 = alpha."""
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    out = []
-    prev2, prev1 = 2.0, float(alpha)
-    out.append(prev1)
-    for _ in range(2, J + 1):
-        cur = alpha * prev1 - (d - 1) * prev2
-        out.append(cur)
-        prev2, prev1 = prev1, cur
-    return out
-
-
 def walk_count_cj(g: BaseGraph, j: int) -> int:
     """c_j, the closed non-backtracking j-walk count, as an exact integer.
 
-    Evaluated from the float spectrum and rounded; a rounding residual
-    above 1e-6 raises NumericInstabilityError instead of guessing.
+    c_j = (|E|-|V|)(1+(-1)^j) + tr P_j(A) in Python ints, where P_0 = 2I,
+    P_1 = A and P_j = A P_{j-1} - (d-1) P_{j-2}; tr P_j(A) is the sum over
+    the adjacency eigenvalues of (beta^+)^j + (beta^-)^j.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    spec = adjacency_spectrum(g)
-    d = spec.degree
-    total = (g.num_edges - g.num_vertices) * (1 + (-1) ** j)
-    total += sum(power_sums(alpha, d, j)[-1] for alpha in spec.eigenvalues)
-    nearest = round(total)
-    if abs(total - nearest) > WALK_ROUNDING_TOL:
-        raise NumericInstabilityError(
-            f"c_{j} = {total} is {abs(total - nearest)} away from an integer"
-        )
-    return int(nearest)
+    d = validate(g)
+    a = g.adjacency_matrix().astype(object)
+    prev, cur = 2 * np.identity(g.num_vertices, dtype=object), a
+    for _ in range(j - 1):
+        prev, cur = cur, a @ cur - (d - 1) * prev
+    return (g.num_edges - g.num_vertices) * (1 + (-1) ** j) + int(np.trace(cur))
 
 
 def brute_force_walk_count(g: BaseGraph, j: int) -> int:

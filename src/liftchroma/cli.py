@@ -159,7 +159,8 @@ def _cmd_laplace_check(args) -> None:
     else:
         problem = lattice_tools.build_ey2_problem(g, args.k)
         closed = asymptotics.ey2_asym(g, args.n, args.k)
-    lap = lattice_tools.laplace_estimate(problem, args.n)
+    diagnostics: dict = {}
+    lap = lattice_tools.laplace_estimate(problem, args.n, diagnostics)
     rel = abs(math.exp(lap.log - closed.log) - 1.0)
     _emit(
         {
@@ -169,6 +170,7 @@ def _cmd_laplace_check(args) -> None:
             "log_laplace": lap.log,
             "log_closed_form": closed.log,
             "rel_error": rel,
+            **diagnostics,
         }
     )
 

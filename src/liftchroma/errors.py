@@ -21,10 +21,6 @@ class BudgetExhaustedError(LiftChromaError):
     """
 
 
-class NumericInstabilityError(LiftChromaError):
-    """A float quantity that must round to an integer failed to do so."""
-
-
 class DivergentSeriesError(LiftChromaError, ValueError):
     """A series was requested outside its convergence region."""
 

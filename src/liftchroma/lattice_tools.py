@@ -13,9 +13,15 @@ tree per component; Kirchhoff), H is the Hessian of phi at the interior
 maximiser xhat, and det(H|_V) = det(U^T H U) / det(U^T U) for any basis
 matrix U of V (basis-independent).
 
-Determinants over integers use fraction-free Bareiss elimination so the
-spanning-tree counts and the structured restricted Hessians come out
-exact; float determinants lose integrality already around k = 5.
+The exact path never does per-entry Fraction arithmetic.  kernel_basis
+row-reduces D in integers (each row divided by its gcd) and returns
+primitive integer kernel vectors; det_restricted scales a rational H by the
+lcm L of its denominators, forms U^T (L H) U and U^T U over the nonzero
+entries in Python ints and finishes both with fraction-free Bareiss
+elimination, as do tau (reduced Laplacians) and fraction_det.  The results
+are exact rationals; float determinants lose integrality already around
+k = 5.  Only a Hessian given as floats (or left to finite differences)
+takes the float path.
 """
 
 from __future__ import annotations
@@ -129,96 +135,109 @@ def incidence_signed(
 
 
 def bareiss_det(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
+    """Exact determinant of an integer matrix by fraction-free elimination.
+
+    Each step eliminates the leading column and keeps only the trailing
+    submatrix; every division by the previous pivot is exact (Bareiss).
+    """
     m = [[int(x) for x in row] for row in mat]
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
+    if not m:
+        return 1
+    sign, prev = 1, 1
+    while len(m) > 1:
+        k = next((i for i, row in enumerate(m) if row[0]), None)
+        if k is None:
             return 0
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
+        if k:
+            m[0], m[k] = m[k], m[0]
             sign = -sign
-        pivot = m[col][col]
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * pivot - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
+        pivot, tail = m[0][0], m[0][1:]
+        m = [
+            [(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+            if row[0]
+            else [x * pivot // prev for x in row[1:]]
+            for row in m[1:]
+        ]
         prev = pivot
-    return sign * m[-1][-1]
+    return sign * m[0][0]
+
+
+def _clear_denominators(mat: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(L*M as integer rows, L) for a matrix of ints and Fractions, with L
+    the lcm of all its denominators."""
+    if isinstance(mat, np.ndarray):
+        mat = mat.tolist()
+    scale = math.lcm(*{x.denominator for row in mat for x in row})
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in mat], scale
 
 
 def fraction_det(mat: Sequence[Sequence]) -> Fraction:
-    """Exact determinant of a rational matrix (row-scaled Bareiss)."""
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows = []
-    for row in mat:
-        fr = [Fraction(x) for x in row]
-        lcm = 1
-        for x in fr:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        scale *= lcm
-        int_rows.append([int(x * lcm) for x in fr])
-    return Fraction(bareiss_det(int_rows), 1) / scale
+    """Exact determinant of a rational matrix: det(M) = det(L M) / L^n."""
+    ints, scale = _clear_denominators([[Fraction(x) for x in row] for row in mat])
+    return Fraction(bareiss_det(ints), scale ** len(ints))
+
+
+def _nonzeros(mat: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """Per row, the (column, value) pairs of its nonzero entries."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in mat]
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """prow[col] * row - row[col] * prow, zeros dropped, divided by its gcd."""
+    f, pv = row[col], prow[col]
+    out = {j: x * pv for j, x in row.items()}
+    for j, y in prow.items():
+        out[j] = out.get(j, 0) - f * y
+    out = {j: x for j, x in out.items() if x}
+    g = math.gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
 def kernel_basis(d_matrix: np.ndarray) -> list[list[int]]:
     """Integer basis of ker(D) as a matrix whose *columns* are the basis.
 
-    Fraction-free in effect: rational RREF, then each free-variable vector
-    is cleared of denominators and reduced by the gcd.  Asserts
-    rank-nullity.  Returned as a list of rows (length = #columns of D),
-    each row a list of ints, with r columns.
+    Fraction-free Gauss-Jordan elimination on sparse integer rows, each
+    divided by its gcd, with positive pivots.  A reduced row with pivot p at
+    column c is p times the matching row of the rational RREF, so each
+    free column f gives the kernel vector x_f = 1, x_c = -row[f] / p; it
+    is returned as the primitive integer vector in that direction.
+    Returned as a list of rows (length = #columns of D), each row a list of
+    ints, with r columns.
     """
-    rows, cols = d_matrix.shape
-    m = [[Fraction(int(d_matrix[i, j])) for j in range(cols)] for i in range(rows)]
-    pivots: list[int] = []
-    rank = 0
+    cols = d_matrix.shape[1]
+    todo = [{j: int(x) for j, x in enumerate(row) if x} for row in d_matrix.tolist()]
+    reduced: list[tuple[int, dict[int, int]]] = []
     for col in range(cols):
-        pivot_row = next((r for r in range(rank, rows) if m[r][col] != 0), None)
-        if pivot_row is None:
+        k = next((i for i, row in enumerate(todo) if col in row), None)
+        if k is None:
             continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    free_cols = [c for c in range(cols) if c not in pivots]
-    basis: list[list[Fraction]] = []
-    for free in free_cols:
-        vec = [Fraction(0)] * cols
-        vec[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][free]
-        basis.append(vec)
-    assert len(basis) == cols - rank, "rank-nullity must hold"
-    int_basis: list[list[int]] = []
-    for vec in basis:
-        lcm = 1
-        for x in vec:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        ints = [int(x * lcm) for x in vec]
-        g = 0
-        for x in ints:
-            g = math.gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
-        int_basis.append(ints)
-    # transpose: rows indexed by variable, columns by basis vector
-    return [[int_basis[b][i] for b in range(len(int_basis))] for i in range(cols)]
+        prow = todo.pop(k)
+        if prow[col] < 0:
+            prow = {j: -x for j, x in prow.items()}
+        reduced = [(c, _eliminate(row, prow, col) if col in row else row) for c, row in reduced]
+        todo = [_eliminate(row, prow, col) if col in row else row for row in todo]
+        reduced.append((col, prow))
+    pivot_cols = {c for c, _ in reduced}
+    free_entries: dict[int, list[tuple[int, int, int]]] = {
+        f: [] for f in range(cols) if f not in pivot_cols
+    }
+    for c, row in reduced:
+        for j, x in row.items():
+            if j != c:
+                free_entries[j].append((c, x, row[c]))
+    basis = []
+    for f, entries in free_entries.items():
+        scale = math.lcm(*(p for _, _, p in entries))
+        vec = {f: scale}
+        for c, x, p in entries:
+            vec[c] = -x * (scale // p)
+        g = math.gcd(*vec.values())
+        basis.append({j: x // g for j, x in vec.items()})
+    out = [[0] * len(basis) for _ in range(cols)]
+    for b, vec in enumerate(basis):
+        for j, x in vec.items():
+            out[j][b] = x
+    return out
 
 
 def matrix_rank(d_matrix: np.ndarray) -> int:
@@ -259,19 +278,33 @@ def det_restricted(h_matrix, u_basis) -> Fraction | float:
     """det(U^T H U) / det(U^T U): the determinant of H restricted to the
     column span of U.  Exact (Fraction) when both inputs are rational,
     float otherwise.  Basis-independent; raises on rank-deficient U.
+
+    The exact branch clears H's denominators into one L, forms U^T (L H) U
+    and U^T U over the nonzero entries in Python ints, and returns
+    det(U^T (L H) U) / (det(U^T U) L^r) with both determinants by Bareiss.
     """
     if _is_exact_matrix(h_matrix) and _is_exact_matrix(u_basis):
-        rows = len(u_basis)
-        r = len(u_basis[0]) if rows else 0
-        h = [[Fraction(h_matrix[i][j]) if not isinstance(h_matrix, np.ndarray) else Fraction(int(h_matrix[i, j])) for j in range(rows)] for i in range(rows)]
-        u = [[Fraction(x) for x in row] for row in u_basis]
-        hu = [[sum(h[i][j] * u[j][b] for j in range(rows)) for b in range(r)] for i in range(rows)]
-        uthu = [[sum(u[i][a] * hu[i][b] for i in range(rows)) for b in range(r)] for a in range(r)]
-        utu = [[sum(u[i][a] * u[i][b] for i in range(rows)) for b in range(r)] for a in range(r)]
-        gram = fraction_det(utu)
+        h_int, scale = _clear_denominators(h_matrix)
+        # a common scale on U cancels between the two determinants
+        u_nz = _nonzeros(_clear_denominators(u_basis)[0])
+        r = len(u_basis[0]) if len(u_basis) else 0
+        uthu = [[0] * r for _ in range(r)]
+        utu = [[0] * r for _ in range(r)]
+        for h_row, u_row in zip(_nonzeros(h_int), u_nz):
+            hu = [0] * r
+            for j, h in h_row:
+                for b, x in u_nz[j]:
+                    hu[b] += h * x
+            hu_nz = [(b, y) for b, y in enumerate(hu) if y]
+            for a, x in u_row:
+                for b, y in hu_nz:
+                    uthu[a][b] += x * y
+                for b, y in u_row:
+                    utu[a][b] += x * y
+        gram = bareiss_det(utu)
         if gram == 0:
             raise ValueError("basis matrix U is rank-deficient")
-        return fraction_det(uthu) / gram
+        return Fraction(bareiss_det(uthu), gram * scale**r)
     h = np.asarray(h_matrix, dtype=float)
     u = np.asarray(u_basis, dtype=float)
     gram = np.linalg.det(u.T @ u)
@@ -413,10 +446,12 @@ class LatticeProblem:
 
     ``y`` is the right-hand side of D x = y over gamma's vertices; ``box``
     the per-variable closed interval; ``xhat`` the (interior) maximiser of
-    phi subject to the constraints.  ``hessian_at_xhat`` may be a rational
-    matrix for an exact restricted determinant; when None it is taken by
-    central finite differences of phi.  Hypotheses on phi/psi regularity
-    are the caller's responsibility.
+    phi subject to the constraints.  ``log_psi`` returns log psi, with -inf
+    for psi = 0, so that psi(xhat) far outside the float range neither
+    underflows to a zero estimate nor overflows.  ``hessian_at_xhat`` may be
+    a rational matrix for an exact restricted determinant; when None it is
+    taken by central finite differences of phi.  Hypotheses on phi/psi
+    regularity are the caller's responsibility.
     """
 
     gamma: ConstraintGraph
@@ -424,7 +459,7 @@ class LatticeProblem:
     box: tuple[tuple[Fraction, Fraction], ...]
     xhat: tuple[Fraction, ...]
     phi: Callable[[np.ndarray], float] | None = None
-    psi: Callable[[np.ndarray], float] | None = None
+    log_psi: Callable[[np.ndarray], float] | None = None
     log_c_n: Callable[[int], float] | None = None
     hessian_at_xhat: object | None = None
     name: str = ""
@@ -449,62 +484,76 @@ def _finite_difference_hessian(phi, xhat: np.ndarray, step: float = 1e-5) -> np.
     return h
 
 
-def laplace_estimate(problem: LatticeProblem, n: int) -> LogValue:
+def _log_positive(x: Fraction | float) -> float:
+    """log x for x > 0; a Fraction goes through its (unbounded) numerator
+    and denominator, so no float overflow."""
+    if isinstance(x, Fraction):
+        return math.log(x.numerator) - math.log(x.denominator)
+    return math.log(x)
+
+
+def laplace_estimate(
+    problem: LatticeProblem, n: int, diagnostics: dict | None = None
+) -> LogValue:
     """Evaluate the estimator at lattice scale n, in log-space with sign.
 
-    Requires det(-H|_V) > 0 and an interior maximiser; a zero psi(xhat)
-    yields the zero estimate (sign 0).
+    Requires det(-H|_V) > 0 and an interior maximiser; log psi(xhat) = -inf
+    yields the zero estimate (sign 0).  When ``diagnostics`` is a dict it
+    receives ``kernel_dim`` (r) and ``det_path`` ("exact" for a rational
+    Hessian, "float" otherwise).
     """
     gamma = problem.gamma
-    if problem.phi is None or problem.psi is None or problem.log_c_n is None:
-        raise ValueError("laplace_estimate needs phi, psi and log_c_n callbacks")
+    if problem.phi is None or problem.log_psi is None or problem.log_c_n is None:
+        raise ValueError("laplace_estimate needs phi, log_psi and log_c_n callbacks")
     for (lo, hi), x in zip(problem.box, problem.xhat):
         if not lo < x < hi:
             raise DomainError(
                 "maximiser must lie strictly inside the box; boundary maximisers "
                 "are unsupported"
             )
-    d_matrix = (
-        incidence_unsigned(gamma)
-        if gamma.bipartition() is not None
-        else incidence_signed(gamma)
-    )
-    # Constraint consistency at the maximiser.
-    for row, rhs in zip(d_matrix, problem.y):
-        lhs = sum(Fraction(int(c)) * x for c, x in zip(row, problem.xhat))
-        if lhs != Fraction(rhs):
-            raise DomainError("xhat does not satisfy D x = y")
+    bipartite = gamma.bipartition() is not None
+    # Constraint consistency at the maximiser, in integers over one common
+    # denominator.  Column e of D is +1 at its tail and +1 (bipartite) or
+    # -1 (signed) at its head.
+    xhat = [Fraction(x) for x in problem.xhat]
+    y = [Fraction(v) for v in problem.y]
+    scale = math.lcm(*(x.denominator for x in xhat + y))
+    head_sign = 1 if bipartite else -1
+    lhs = [0] * gamma.num_vertices
+    for (tail, head), x in zip(gamma.edges, xhat):
+        m = x.numerator * (scale // x.denominator)
+        lhs[tail] += m
+        lhs[head] += head_sign * m
+    if lhs != [v.numerator * (scale // v.denominator) for v in y]:
+        raise DomainError("xhat does not satisfy D x = y")
 
-    u = kernel_basis(d_matrix)
+    u = kernel_basis(incidence_unsigned(gamma) if bipartite else incidence_signed(gamma))
     r = len(u[0]) if u else 0
     if r == 0:
         raise DomainError("constraint kernel is trivial; no lattice to sum over")
+    xhat_float = np.array([float(x) for x in xhat])
     hess = problem.hessian_at_xhat
     if hess is None:
-        hess = _finite_difference_hessian(
-            problem.phi, np.array([float(x) for x in problem.xhat])
-        )
-    if isinstance(hess, np.ndarray) and hess.dtype == object:
-        neg_h = [[-x for x in row] for row in hess.tolist()]
-    elif isinstance(hess, np.ndarray):
-        neg_h = -hess
-    else:
-        neg_h = [[-x for x in row] for row in hess]
-    det_val = det_restricted(neg_h, u)
+        hess = _finite_difference_hessian(problem.phi, xhat_float)
+    elif isinstance(hess, np.ndarray) and hess.dtype == object:
+        hess = hess.tolist()
+    det_val = (-1) ** r * det_restricted(hess, u)  # det(-H|_V)
+    if diagnostics is not None:
+        diagnostics["kernel_dim"] = r
+        diagnostics["det_path"] = "exact" if isinstance(det_val, Fraction) else "float"
     if det_val <= 0:
         raise SingularHessianError(f"det(-H|_V) = {det_val} must be positive")
 
     tau = tau_maximal_forests(gamma)
-    xhat_float = np.array([float(x) for x in problem.xhat])
-    psi_val = problem.psi(xhat_float)
-    if psi_val < 0:
-        raise DomainError("psi(xhat) must be nonnegative")
-    if psi_val == 0:
+    log_psi = problem.log_psi(xhat_float)
+    if math.isnan(log_psi):
+        raise DomainError("log psi(xhat) is NaN; psi must be nonnegative")
+    if log_psi == -math.inf:
         return LogValue(float("-inf"), 0)
     log_val = (
-        math.log(psi_val)
+        log_psi
         - 0.5 * math.log(tau)
-        - 0.5 * math.log(float(det_val))
+        - 0.5 * _log_positive(det_val)
         + (r / 2) * math.log(2 * math.pi * n)
         + problem.log_c_n(n)
         + n * problem.phi(xhat_float)
@@ -652,8 +701,8 @@ def build_ey_problem(g: BaseGraph, k: int) -> LatticeProblem:
             - float(np.sum(safe * np.log(safe)))
         )
 
-    def psi(x: np.ndarray) -> float:
-        return float(np.exp(-0.5 * np.sum(np.log(x))))
+    def log_psi(x: np.ndarray) -> float:
+        return -0.5 * float(np.sum(np.log(x)))
 
     def log_c_n(n: int) -> float:
         return (k * nv / 2 - k * ne) * math.log(k) + (
@@ -670,7 +719,7 @@ def build_ey_problem(g: BaseGraph, k: int) -> LatticeProblem:
         box=tuple((Fraction(0), Fraction(1, k)) for _ in range(ne_vars)),
         xhat=tuple(Fraction(1, k * (k - 1)) for _ in range(ne_vars)),
         phi=phi,
-        psi=psi,
+        log_psi=log_psi,
         log_c_n=log_c_n,
         hessian_at_xhat=hess,
         name=f"EY[{g.num_vertices}v {g.num_edges}e, k={k}]",
@@ -695,8 +744,8 @@ def build_ey2_problem(g: BaseGraph, k: int) -> LatticeProblem:
     def phi(x: np.ndarray) -> float:
         return F_A(g, np.asarray(x, dtype=float).reshape(nv, k, k))
 
-    def psi(x: np.ndarray) -> float:
-        return float(np.exp(0.5 * (d - 1) * np.sum(np.log(x))))
+    def log_psi(x: np.ndarray) -> float:
+        return 0.5 * (d - 1) * float(np.sum(np.log(x)))
 
     def log_c_n(n: int) -> float:
         return (ne / 2) * log_gamma_nk(n, k) + (
@@ -724,7 +773,7 @@ def build_ey2_problem(g: BaseGraph, k: int) -> LatticeProblem:
         box=tuple((Fraction(0), Fraction(1, k)) for _ in range(nv * k2)),
         xhat=tuple(Fraction(1, k2) for _ in range(nv * k2)),
         phi=phi,
-        psi=psi,
+        log_psi=log_psi,
         log_c_n=log_c_n,
         hessian_at_xhat=hess,
         name=f"EY2[{g.num_vertices}v {g.num_edges}e, k={k}]",

@@ -20,7 +20,6 @@ from liftchroma.asymptotics import (
     joint_moment_prediction,
     joint_moment_prediction_multi,
     lambdas,
-    power_sums,
     scaling_factor,
     sscm_constants,
     sscm_identity_check,
@@ -31,14 +30,6 @@ from liftchroma.base_graph import make_complete_graph
 from liftchroma.coloring import count_proper_colorings
 from liftchroma.errors import DivergentSeriesError, DomainError
 from liftchroma.moments_exact import expected_Y_exact
-
-
-def test_power_sums_examples():
-    assert power_sums(3, 3, 3) == pytest.approx([3, 5, 9])
-    # closed-form cross-check: roots of x^2 - 3x + 2 are 2 and 1
-    assert power_sums(3, 3, 3)[2] == pytest.approx(2**3 + 1**3)
-    assert power_sums(-1, 3, 3) == pytest.approx([-1, -3, 5])
-    assert power_sums(2, 2, 3) == pytest.approx([2, 2, 2])
 
 
 def test_walk_counts_frozen(k3, k4):
@@ -52,6 +43,33 @@ def test_walk_counts_match_enumeration(k3, k4, petersen):
     for g in (k3, k4, petersen):
         for j in range(1, 7):
             assert walk_count_cj(g, j) == brute_force_walk_count(g, j)
+
+
+def _hashimoto_trace(g, j: int) -> int:
+    """Oracle: tr(B^j) in integers, B the non-backtracking matrix on
+    directed edges (2e is tail->head, 2e+1 the reverse)."""
+    tails, heads = [], []
+    for t, h in g.edges:
+        tails += [t, h]
+        heads += [h, t]
+    m = len(tails)
+    b = [[int(heads[e] == tails[f] and f != e ^ 1) for f in range(m)] for e in range(m)]
+    power = b
+    for _ in range(j - 1):
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in power]
+    return sum(power[e][e] for e in range(m))
+
+
+def test_walk_counts_exact_at_large_j(petersen, doubled_triangle):
+    # the float-spectrum version raised for K6 at j = 18..25, returned
+    # 1152921501705843456 at j = 30 and raised for Petersen from j = 30
+    k6 = make_complete_graph(6)
+    assert walk_count_cj(k6, 19) == 274872684600
+    assert walk_count_cj(k6, 30) == 1152921501705873360
+    assert walk_count_cj(petersen, 30) == 1073792280
+    for g in (k6, petersen, doubled_triangle):
+        for j in (1, 2, 7, 18, 25, 31):
+            assert walk_count_cj(g, j) == _hashimoto_trace(g, j)
 
 
 def test_walk_counts_multigraph(doubled_triangle):

@@ -96,6 +96,8 @@ def test_laplace_check_cli(capsys):
         run_cli(capsys, "laplace-check", "--which", "EY", "--graph", "K3", "--k", "3", "--n", "30")
     )
     assert out["rel_error"] < 1e-9
+    assert out["kernel_dim"] == 3  # (k^2 - 3k + 1)|E| for K3, k = 3
+    assert out["det_path"] == "exact"
 
 
 def test_campaign_cli(capsys, tmp_path):

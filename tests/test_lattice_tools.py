@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from liftchroma.asymptotics import ey2_asym, ey_asym, h_dk
+from liftchroma.base_graph import make_complete_graph
 from liftchroma.errors import DomainError, SingularHessianError
 from liftchroma.lattice_tools import (
     ConstraintGraph,
@@ -214,15 +215,59 @@ def test_laplace_finite_difference_hessian(k3):
     problem = build_ey_problem(k3, 3)
     exact = laplace_estimate(problem, 30)
     problem.hessian_at_xhat = None
-    fd = laplace_estimate(problem, 30)
+    diagnostics = {}
+    fd = laplace_estimate(problem, 30, diagnostics)
     assert abs(math.exp(fd.log - exact.log) - 1) < 1e-4
+    assert diagnostics == {"kernel_dim": 3, "det_path": "float"}
 
 
 def test_laplace_zero_psi(k3):
     problem = build_ey_problem(k3, 3)
-    problem.psi = lambda x: 0.0
+    problem.log_psi = lambda x: float("-inf")  # psi = 0
     out = laplace_estimate(problem, 30)
     assert out.sign == 0
+
+
+def test_laplace_psi_far_below_float_range(k3, petersen):
+    # psi * e^-800 underflows as a float; in log space it only shifts the
+    # estimate.  Petersen EY2 at k = 5 has psi(xhat) = e^-805.
+    problem = build_ey_problem(k3, 3)
+    base = laplace_estimate(problem, 30)
+    log_psi = problem.log_psi
+    problem.log_psi = lambda x: log_psi(x) - 800.0
+    shifted = laplace_estimate(problem, 30)
+    assert shifted.sign == 1
+    assert shifted.log - base.log == pytest.approx(-800.0, abs=1e-9)
+    lap = laplace_estimate(build_ey2_problem(petersen, 5), 60)
+    assert lap.sign == 1
+    assert abs(math.exp(lap.log - ey2_asym(petersen, 60, 5).log) - 1) < 1e-9
+
+
+def test_laplace_det_beyond_float_range(k3):
+    # det(-H|_V) = (10^400)^3 overflows a float; its log does not
+    problem = build_ey_problem(k3, 3)
+    base = laplace_estimate(problem, 30)
+    size = problem.gamma.num_edges
+    big = -(10**400)
+    problem.hessian_at_xhat = [[big if i == j else 0 for j in range(size)] for i in range(size)]
+    out = laplace_estimate(problem, 30)
+    # the exact Hessian is -6 I, so det(-H|_V) grows by (10^400 / 6)^3
+    assert out.log - base.log == pytest.approx(-1.5 * (400 * math.log(10) - math.log(6)))
+
+
+@pytest.mark.parametrize("name", ["petersen", "k5", "k6"])
+@pytest.mark.parametrize("which", ["EY", "EY2"])
+def test_laplace_matches_closed_forms_k4(name, which, request):
+    g = make_complete_graph(6) if name == "k6" else request.getfixturevalue(name)
+    build, closed = (
+        (build_ey_problem, ey_asym) if which == "EY" else (build_ey2_problem, ey2_asym)
+    )
+    diagnostics = {}
+    lap = laplace_estimate(build(g, 4), 60, diagnostics)
+    assert abs(math.exp(lap.log - closed(g, 60, 4).log) - 1) < 1e-9
+    # r = (k^2 - 3k + 1)|E| for EY and (k - 1)^2 |V| for EY2
+    r = 5 * g.num_edges if which == "EY" else 9 * g.num_vertices
+    assert diagnostics == {"kernel_dim": r, "det_path": "exact"}
 
 
 def test_laplace_boundary_maximiser_rejected(k3):
@@ -316,3 +361,130 @@ def test_lattice_enumeration_counts():
             sum(Fraction(int(c)) * x for c, x in zip(row, p)) == Fraction(1, 3)
             for row in d
         )
+
+
+# ---------------------------------------------------------------------------
+# Per-entry Fraction oracles for the integer exact path
+
+
+def _oracle_det(mat) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def _oracle_det_restricted(h_matrix, u_basis) -> Fraction:
+    """det(U^T H U) / det(U^T U) with a Fraction product per entry."""
+    rows, r = len(u_basis), len(u_basis[0])
+    h = [[Fraction(x) for x in row] for row in h_matrix]
+    u = [[Fraction(x) for x in row] for row in u_basis]
+    hu = [[sum(h[i][j] * u[j][b] for j in range(rows)) for b in range(r)] for i in range(rows)]
+    uthu = [[sum(u[i][a] * hu[i][b] for i in range(rows)) for b in range(r)] for a in range(r)]
+    utu = [[sum(u[i][a] * u[i][b] for i in range(rows)) for b in range(r)] for a in range(r)]
+    return _oracle_det(uthu) / _oracle_det(utu)
+
+
+def _oracle_kernel_basis(d_matrix) -> list[list[int]]:
+    """Rational RREF; each free-column vector cleared of denominators and
+    divided by its gcd; returned with the basis vectors as columns."""
+    rows, cols = d_matrix.shape
+    m = [[Fraction(int(d_matrix[i, j])) for j in range(cols)] for i in range(rows)]
+    pivots = []
+    for col in range(cols):
+        piv = next((r for r in range(len(pivots), rows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        rank = len(pivots)
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for r in range(rows):
+            if r != rank and m[r][col] != 0:
+                m[r] = [a - m[r][col] * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[free] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -m[i][free]
+        lcm = math.lcm(*(x.denominator for x in vec))
+        ints = [int(x * lcm) for x in vec]
+        g = math.gcd(*ints)
+        basis.append([x // g for x in ints])
+    return [[vec[i] for vec in basis] for i in range(cols)]
+
+
+def _transformed(u, rng):
+    """U T for a random unimodular T: another basis of the same span."""
+    t = random_unimodular(len(u[0]), rng)
+    return [[sum(row[a] * t[a][b] for a in range(len(t))) for b in range(len(t))] for row in u]
+
+
+def _criterion_5_cases(k3, k4):
+    """The (H, U) pairs of acceptance criterion 5, same seed and order."""
+    rng = np.random.default_rng(17)
+    for g in (k3, k4):
+        gamma_b = build_ey_problem(g, 3).gamma
+        u1 = kernel_basis(incidence_unsigned(gamma_b))
+        u2 = _transformed(u1, rng)
+        size = gamma_b.num_edges
+        scaled_identity = [[6 if i == j else 0 for j in range(size)] for i in range(size)]
+        problem = build_ey2_problem(g, 3)
+        ua = kernel_basis(incidence_unsigned(problem.gamma))
+        ua2 = _transformed(ua, rng)
+        neg_h = [[-x for x in row] for row in problem.hessian_at_xhat]
+        yield from ((scaled_identity, u1), (scaled_identity, u2), (neg_h, ua), (neg_h, ua2))
+
+
+def test_det_restricted_equals_fraction_oracle_criterion_5(k3, k4):
+    for h, u in _criterion_5_cases(k3, k4):
+        val = det_restricted(h, u)
+        assert isinstance(val, Fraction)
+        assert val == _oracle_det_restricted(h, u)
+
+
+@pytest.mark.parametrize("name", ["k4", "petersen"])
+@pytest.mark.parametrize("which", ["EY", "EY2"])
+def test_exact_path_equals_fraction_oracles(name, which, request):
+    g = request.getfixturevalue(name)
+    problem = (build_ey_problem if which == "EY" else build_ey2_problem)(g, 3)
+    d = incidence_unsigned(problem.gamma)
+    u = kernel_basis(d)
+    assert u == _oracle_kernel_basis(d)
+    ds = incidence_signed(problem.gamma)
+    assert kernel_basis(ds) == _oracle_kernel_basis(ds)
+    h = problem.hessian_at_xhat
+    assert det_restricted(h, u) == _oracle_det_restricted(h, u)
+
+
+def test_kernel_basis_equals_oracle_random_matrices():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        d = rng.integers(-3, 4, size=(rows, cols))
+        d[:, rng.random(cols) < 0.3] = 0
+        assert kernel_basis(d) == _oracle_kernel_basis(d)
+
+
+def test_determinants_equal_oracle_random_matrices():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        size = int(rng.integers(1, 7))
+        ints = rng.integers(-4, 5, size=(size, size)).tolist()
+        if rng.random() < 0.2:
+            ints[-1] = list(ints[0])  # singular
+        assert bareiss_det(ints) == _oracle_det(ints)
+        rational = [[Fraction(x, int(rng.integers(1, 7))) for x in row] for row in ints]
+        assert fraction_det(rational) == _oracle_det(rational)
