@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -121,6 +122,35 @@ def validate(g: BaseGraph) -> int:
     if d < 2:
         raise InvalidGraphError(f"degree {d} < 2")
     return d
+
+
+def connected_components(adj: Sequence[Sequence[int]]) -> list[tuple[list[int], bool]]:
+    """Connected components of an adjacency-list graph, each paired with
+    whether it is bipartite (a loop makes its component non-bipartite).
+
+    Components come in order of their smallest vertex.  Each lists its
+    vertices in stack-DFS order: a vertex is pushed when first seen, its
+    neighbours in adjacency order, and listed when popped.  The colouring
+    solvers' tie-breaks depend on this order.
+    """
+    side = [-1] * len(adj)
+    out = []
+    for s in range(len(adj)):
+        if side[s] >= 0:
+            continue
+        side[s] = 0
+        stack, comp, bipartite = [s], [], True
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in adj[u]:
+                if side[w] < 0:
+                    side[w] = side[u] ^ 1
+                    stack.append(w)
+                elif side[w] == side[u]:
+                    bipartite = False
+        out.append((comp, bipartite))
+    return out
 
 
 def adjacency_spectrum(g: BaseGraph) -> SpectralSummary:

@@ -118,14 +118,14 @@ def _cmd_opt_verify(args) -> None:
         q = args.q
         c = args.c if args.c is not None else 0.97 * thresholds.c_q(q)
         mats = rng.dirichlet(np.ones(q), size=(args.trials, q))
-        gaps = stochastic_opt.square_gap_batch(mats, c)
+        gaps = stochastic_opt.square_gap(mats, c)
         _emit({"which": "an", "q": q, "c": c, "trials": args.trials, "worst_gap": float(gaps.min())})
         return
     if args.which == "rect":
         q, k = args.q, args.k
         c = args.c if args.c is not None else 0.99 * stochastic_opt.rect_coefficient_bound(q, k)
         mats = rng.dirichlet(np.ones(k), size=(args.trials, q))
-        gaps = stochastic_opt.rect_gap_batch(mats, c)
+        gaps = stochastic_opt.rect_gap(mats, c)
         _emit({"which": "rect", "q": q, "k": k, "c": c, "trials": args.trials, "worst_gap": float(gaps.min())})
         return
     g = resolve_graph_arg(args.graph)

@@ -22,6 +22,7 @@ import heapq
 import os
 from dataclasses import dataclass
 
+from .base_graph import connected_components
 from .errors import BudgetExhaustedError, TooLargeError
 from .lift import Lift, LiftedGraph, expand
 
@@ -81,43 +82,8 @@ def _simple_adjacency(lg: LiftedGraph) -> list[list[int]]:
     return [sorted(a) for a in adj]
 
 
-def _components(adj: list[list[int]]) -> list[list[int]]:
-    n = len(adj)
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(comp)
-    return comps
-
-
 def is_bipartite(lg: LiftedGraph) -> bool:
-    adj = _simple_adjacency(lg)
-    side = [-1] * lg.num_vertices
-    for s in range(lg.num_vertices):
-        if side[s] >= 0:
-            continue
-        side[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if side[w] < 0:
-                    side[w] = side[u] ^ 1
-                    stack.append(w)
-                elif side[w] == side[u]:
-                    return False
-    return True
+    return all(bipartite for _, bipartite in connected_components(_simple_adjacency(lg)))
 
 
 def greedy_clique(lg: LiftedGraph) -> int:
@@ -204,20 +170,6 @@ def _is_complete(adj: list[list[int]], comp: list[int]) -> bool:
     )
 
 
-def _component_bipartite(adj: list[list[int]], comp: list[int]) -> bool:
-    side = {comp[0]: 0}
-    stack = [comp[0]]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in side:
-                side[w] = side[u] ^ 1
-                stack.append(w)
-            elif side[w] == side[u]:
-                return False
-    return True
-
-
 def is_k_colorable(lg: LiftedGraph, k: int, budget: int | None = None) -> bool:
     """Exact decision, component by component.
 
@@ -235,7 +187,7 @@ def is_k_colorable(lg: LiftedGraph, k: int, budget: int | None = None) -> bool:
     if k == 1:
         return all(len(a) == 0 for a in adj)
     b = _Budget(node_budget(budget))
-    for comp in _components(adj):
+    for comp, bipartite in connected_components(adj):
         if len(comp) <= k:
             continue
         comp_max_deg = max(len(adj[v]) for v in comp)
@@ -247,7 +199,7 @@ def is_k_colorable(lg: LiftedGraph, k: int, budget: int | None = None) -> bool:
                     return False
                 continue
             # k == 2: 2-colourable iff the component has no odd cycle.
-            if not _component_bipartite(adj, comp):
+            if not bipartite:
                 return False
             continue
         if not _dsatur_decide(adj, comp, k, b):
@@ -388,7 +340,7 @@ def count_proper_colorings(
     adj = _simple_adjacency(lg)
     b = _Budget(node_budget(budget))
     total = 1
-    for comp in _components(adj):
+    for comp, _ in connected_components(adj):
         if len(comp) == 1:
             total *= k
         else:

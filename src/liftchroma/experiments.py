@@ -59,21 +59,27 @@ def _parse_statistic(name: str) -> tuple[str, int | None]:
     return name, None
 
 
-def make_statistic(name: str, k: int | None) -> Callable[[Lift], Fraction]:
-    """Build the per-lift evaluator for a named statistic."""
+def make_statistic(
+    name: str, k: int | None, budget: int | None = None
+) -> Callable[[Lift], Fraction]:
+    """Build the per-lift evaluator for a named statistic.
+
+    ``budget`` is the node budget of each exact solver call (chi, X, Y);
+    None defers to LIFTCHROMA_BUDGET or the default (coloring.node_budget).
+    """
     kind, j = _parse_statistic(name)
-    if kind in ("X", "Y", "YZ", "chi") and kind != "chi" and k is None:
+    if kind in ("X", "Y", "YZ") and k is None:
         raise InvalidConfigError(f"statistic {name!r} needs k")
 
     def strict_equitable(lift: Lift) -> int:
         if lift.n % k != 0:
             return 0
-        return count_strongly_equitable(lift, k)
+        return count_strongly_equitable(lift, k, budget=budget)
 
     if kind == "Z":
         return lambda lift: Fraction(count_cycles_up_to(expand(lift), j)[j])
     if kind == "X":
-        return lambda lift: Fraction(count_proper_colorings(expand(lift), k))
+        return lambda lift: Fraction(count_proper_colorings(expand(lift), k, budget=budget))
     if kind == "Y":
         return lambda lift: Fraction(strict_equitable(lift))
     if kind == "YZ":
@@ -81,7 +87,7 @@ def make_statistic(name: str, k: int | None) -> Callable[[Lift], Fraction]:
             strict_equitable(lift) * count_cycles_up_to(expand(lift), j)[j]
         )
     if kind == "chi":
-        return lambda lift: Fraction(chromatic_number(expand(lift)))
+        return lambda lift: Fraction(chromatic_number(expand(lift), budget=budget))
     raise InvalidConfigError(f"unknown statistic {name!r}")
 
 
@@ -123,15 +129,17 @@ def mc_expectation(
     seed: int,
     cell_index: int = 0,
     exact: bool = False,
+    budget: int | None = None,
 ) -> EstimateRecord:
     """Sample mean and standard error of a statistic over independent lifts.
 
     Budget-exhausted samples are excluded from the mean and reported as
     censored, never silently folded in.  ``exact=True`` averages over the
-    full lift space by enumeration instead of sampling.
+    full lift space by enumeration instead of sampling.  ``budget`` is
+    passed to make_statistic.
     """
     validate(g)
-    stat = make_statistic(statistic, k)
+    stat = make_statistic(statistic, k, budget)
     start = time.perf_counter()
     if exact:
         value = brute_force_moment(g, n, stat)
@@ -271,6 +279,7 @@ def run_campaign(config: CampaignConfig) -> list[EstimateRecord]:
                     config.samples,
                     config.seed,
                     cell_index=cell_index,
+                    budget=config.budget,
                 )
             )
             cell_index += 1

@@ -34,8 +34,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .asymptotics import LogValue, lambdas, log_gamma_nk
-from .base_graph import BaseGraph, validate
+from .base_graph import BaseGraph, connected_components, validate
 from .errors import DomainError, SingularHessianError, TooLargeError
+from .moments_exact import margin_tables
 
 DEFAULT_LATTICE_CAP = 10**7
 
@@ -60,50 +61,19 @@ class ConstraintGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def components(self) -> list[list[int]]:
+    def _components(self) -> list[tuple[list[int], bool]]:
         adj = [[] for _ in range(self.num_vertices)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        seen = [False] * self.num_vertices
-        comps = []
-        for s in range(self.num_vertices):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        return connected_components(adj)
 
-    def bipartition(self) -> tuple[set[int], set[int]] | None:
-        """(left, right) classes, or None when not bipartite."""
-        side = [-1] * self.num_vertices
-        adj = [[] for _ in range(self.num_vertices)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for s in range(self.num_vertices):
-            if side[s] >= 0:
-                continue
-            side[s] = 0
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if side[w] < 0:
-                        side[w] = side[u] ^ 1
-                        stack.append(w)
-                    elif side[w] == side[u]:
-                        return None
-        left = {v for v in range(self.num_vertices) if side[v] == 0}
-        return left, set(range(self.num_vertices)) - left
+    def components(self) -> list[list[int]]:
+        """Vertex sets of the connected components, each sorted."""
+        return [sorted(comp) for comp, _ in self._components()]
+
+    def is_bipartite(self) -> bool:
+        return all(bipartite for _, bipartite in self._components())
 
 
 def incidence_unsigned(gamma: ConstraintGraph) -> np.ndarray:
@@ -432,7 +402,7 @@ def _assert_uniform_components(
     comps = gamma.components()
     assert all(len(c) == nv for c in comps)
     assert all(deg[v] == degree for v in range(gamma.num_vertices))
-    assert gamma.bipartition() is not None
+    assert gamma.is_bipartite()
     assert len(comps) * ne == gamma.num_edges
 
 
@@ -511,7 +481,7 @@ def laplace_estimate(
                 "maximiser must lie strictly inside the box; boundary maximisers "
                 "are unsupported"
             )
-    bipartite = gamma.bipartition() is not None
+    bipartite = gamma.is_bipartite()
     # Constraint consistency at the maximiser, in integers over one common
     # denominator.  Column e of D is +1 at its tail and +1 (bipartite) or
     # -1 (signed) at its head.
@@ -570,10 +540,13 @@ def enumerate_lattice_points(
 ) -> Iterator[tuple[Fraction, ...]]:
     """All x in box with n*x integral and D x = y, for bipartite gamma.
 
-    Depth-first over variables with per-equation remaining-mass pruning.
+    The points n*x are the integer tables on gamma's edges with line sums
+    n*y and cell bounds n*box, from moments_exact.margin_tables, with the
+    variables ordered by their lower endpoint so that each vertex's edges
+    come together.  Points are returned in gamma.edges order.
     """
     gamma = problem.gamma
-    if gamma.bipartition() is None:
+    if not gamma.is_bipartite():
         raise DomainError("lattice enumeration implemented for bipartite gamma only")
     ny = []
     for rhs in problem.y:
@@ -581,58 +554,18 @@ def enumerate_lattice_points(
         if val.denominator != 1:
             return  # no lattice points at this n
         ny.append(int(val))
-    bounds = []
-    for lo, hi in problem.box:
-        lo_i = math.ceil(Fraction(lo) * n)
-        hi_i = math.floor(Fraction(hi) * n)
-        bounds.append((lo_i, hi_i))
-    incident: list[list[int]] = [[] for _ in range(gamma.num_vertices)]
-    for e, (u, v) in enumerate(gamma.edges):
-        incident[u].append(e)
-        incident[v].append(e)
-    # Order variables so each vertex's incident edges finish consecutively.
-    order: list[int] = []
-    seen_edge = [False] * gamma.num_edges
-    for v in range(gamma.num_vertices):
-        for e in incident[v]:
-            if not seen_edge[e]:
-                seen_edge[e] = True
-                order.append(e)
-    remaining_count = [len(incident[v]) for v in range(gamma.num_vertices)]
-    rem = list(ny)
-    values = [0] * gamma.num_edges
-    emitted = 0
-
-    def dfs(pos: int):
-        nonlocal emitted
-        if pos == len(order):
-            emitted += 1
-            if emitted > cap:
-                raise TooLargeError(f"lattice enumeration exceeded cap {cap}")
-            yield tuple(Fraction(v, n) for v in values)
-            return
-        e = order[pos]
-        u, v = gamma.edges[e]
-        lo_i, hi_i = bounds[e]
-        hi_eff = min(hi_i, rem[u], rem[v])
-        for m in range(max(lo_i, 0), hi_eff + 1):
-            values[e] = m
-            rem[u] -= m
-            rem[v] -= m
-            remaining_count[u] -= 1
-            remaining_count[v] -= 1
-            ok = (remaining_count[u] > 0 or rem[u] == 0) and (
-                remaining_count[v] > 0 or rem[v] == 0
-            )
-            if ok:
-                yield from dfs(pos + 1)
-            remaining_count[u] += 1
-            remaining_count[v] += 1
-            rem[u] += m
-            rem[v] += m
-        values[e] = 0
-
-    yield from dfs(0)
+    bounds = [
+        (math.ceil(Fraction(lo) * n), math.floor(Fraction(hi) * n)) for lo, hi in problem.box
+    ]
+    order = sorted(range(gamma.num_edges), key=lambda e: min(gamma.edges[e]))
+    cells = [gamma.edges[e] for e in order]
+    point: list[Fraction] = [Fraction(0)] * gamma.num_edges
+    for emitted, table in enumerate(margin_tables(ny, cells, [bounds[e] for e in order]), 1):
+        if emitted > cap:
+            raise TooLargeError(f"lattice enumeration exceeded cap {cap}")
+        for e, m in zip(order, table):
+            point[e] = Fraction(m, n)
+        yield tuple(point)
 
 
 @dataclass(frozen=True)

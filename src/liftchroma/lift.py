@@ -99,10 +99,6 @@ class LiftedGraph:
     def degrees(self) -> list[int]:
         return [len(a) for a in self.adjacency]
 
-    def fiber_index(self, vertex_id: int) -> tuple[int, int]:
-        """Inverse of the id = v * n + i flattening."""
-        return divmod(vertex_id, self.n)
-
 
 def sample_lift(g: BaseGraph, n: int, rng) -> Lift:
     """Draw a uniform lift: one independent uniform permutation per edge.

@@ -16,9 +16,13 @@ Dividing by the n!^{|E|} equally likely lifts turns pair counts into
 expectations.  The same scheme with colour *pairs* (k^2 colours, tables
 forbidding agreement in either coordinate) yields second moments.
 
-Enumeration order for the inner tables is depth-first with marginal
-feasibility pruning: a partial table is abandoned as soon as a row cannot
-be completed within the remaining column capacities.
+One kernel, margin_tables, enumerates every table here (the tables of M
+and of its pair analogue, the per-edge tables of the factorized=False
+E[Y] oracle, the pair histograms of E[Y^2]) and the lattice points of
+lattice_tools.enumerate_lattice_points.  It walks the allowed cells in a
+fixed order, depth first on an explicit stack, each cell taking its values
+in increasing order; the last cell on a row or column takes what is left
+of that line's margin.
 """
 
 from __future__ import annotations
@@ -70,17 +74,6 @@ class OverlapProfile:
                 if col_sum != self.a[head][i]:
                     raise ValueError(f"edge {e}: head marginal mismatch at colour {i}")
 
-    def as_float_arrays(self):
-        import numpy as np
-
-        k = len(self.a[0])
-        a = np.array([[float(x) for x in row] for row in self.a])
-        b = np.zeros((len(self.b), k, k))
-        for e, be in enumerate(self.b):
-            for (i, i2), val in be.items():
-                b[e, i, i2] = float(val)
-        return a, b
-
 
 @dataclass(frozen=True)
 class PairOverlapProfile:
@@ -129,13 +122,10 @@ class PairOverlapProfile:
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order: the tables on `parts` parallel cells joining one
+    row to one column, both with margin `total`."""
+    return margin_tables((total, total), [(0, 1)] * parts)
 
 
 def _vector_factorial(x: Sequence[int]) -> int:
@@ -150,51 +140,80 @@ def multinomial(n: int, x: Sequence[int]) -> int:
     return math.factorial(n) // _vector_factorial(x)
 
 
-def _table_sum(
-    row_margins: tuple[int, ...],
-    col_margins: tuple[int, ...],
-    allowed: Callable[[int, int], bool],
-) -> int:
-    """sum over allowed-support tables B of  rows! * cols! / B!.
+def margin_tables(
+    margins: Sequence[int],
+    cells: Sequence[tuple[int, int]],
+    bounds: Sequence[tuple[int, int]] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Every nonnegative integer vector x over ``cells`` whose sum over the
+    cells of each line equals that line's margin.
 
-    Rows are filled one at a time; each row's mass is distributed over its
-    allowed columns without exceeding the remaining column capacity, and a
-    row is abandoned early when the remaining capacity cannot absorb it.
+    Each cell (a, b) lies on two lines; a table with rows 0..R-1 and
+    columns R..R+C-1 lists its allowed cells as (i, R + j), and repeated
+    cells are allowed.  ``bounds`` optionally gives each cell a closed
+    interval (lo, hi) for its value.  Tables come in lexicographic order of
+    x with cells in the given order: depth first, each cell taking its
+    values in increasing order, on an explicit stack.  The last cell of a
+    line takes whatever its line has left.
     """
-    nrows, ncols = len(row_margins), len(col_margins)
-    col_rem = list(col_margins)
-    base = _vector_factorial(row_margins) * _vector_factorial(col_margins)
-    allowed_cols = [
-        [j for j in range(ncols) if allowed(i, j)] for i in range(nrows)
-    ]
-    total = 0
-
-    def fill_row(i: int, denom: int) -> None:
-        nonlocal total
-        if i == nrows:
-            total += base // denom
+    m = len(cells)
+    rem = list(margins)
+    lines: list[list[int]] = [[] for _ in rem]
+    for p, (a, b) in enumerate(cells):
+        lines[a].append(p)
+        lines[b].append(p)
+    if any(r and not on_line for r, on_line in zip(rem, lines)):
+        return
+    lows = [max(0, lo) for lo, _ in bounds] if bounds else [0] * m
+    highs = [hi for _, hi in bounds] if bounds else [sum(rem)] * m
+    closes = [(lines[a][-1] == p, lines[b][-1] == p) for p, (a, b) in enumerate(cells)]
+    x = [0] * m
+    top = [0] * m
+    p = 0
+    while True:
+        while p < m:
+            a, b = cells[p]
+            ra, rb = rem[a], rem[b]
+            lo = lows[p]
+            hi = min(highs[p], ra, rb)
+            close_a, close_b = closes[p]
+            if close_a and ra > lo:
+                lo = ra
+            if close_b and rb > lo:
+                lo = rb
+            if lo > hi:
+                break
+            x[p], top[p] = lo, hi
+            rem[a] = ra - lo
+            rem[b] = rb - lo
+            p += 1
+        else:
+            yield tuple(x)
+        p -= 1
+        while p >= 0 and x[p] == top[p]:
+            a, b = cells[p]
+            rem[a] += x[p]
+            rem[b] += x[p]
+            p -= 1
+        if p < 0:
             return
-        need = row_margins[i]
-        cols = allowed_cols[i]
+        a, b = cells[p]
+        x[p] += 1
+        rem[a] -= 1
+        rem[b] -= 1
+        p += 1
 
-        def place(ci: int, left: int, denom_row: int) -> None:
-            if ci == len(cols):
-                if left == 0:
-                    fill_row(i + 1, denom_row)
-                return
-            j = cols[ci]
-            tail_capacity = sum(col_rem[c] for c in cols[ci + 1 :])
-            lo = max(0, left - tail_capacity)
-            hi = min(left, col_rem[j])
-            for bij in range(lo, hi + 1):
-                col_rem[j] -= bij
-                place(ci + 1, left - bij, denom_row * math.factorial(bij))
-                col_rem[j] += bij
 
-        place(0, need, denom)
-
-    fill_row(0, 1)
-    return total
+def _matching_weights(
+    x: tuple[int, ...], y: tuple[int, ...], allowed: Callable[[int, int], bool]
+) -> Iterator[int]:
+    """x! * y! / B! for each table B on the allowed cells with row sums x
+    and column sums y."""
+    rows = len(x)
+    cells = [(i, rows + j) for i in range(rows) for j in range(len(y)) if allowed(i, j)]
+    base = _vector_factorial(x) * _vector_factorial(y)
+    for table in margin_tables(x + y, cells):
+        yield base // _vector_factorial(table)
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +221,7 @@ def proper_matching_count(x: tuple[int, ...], y: tuple[int, ...]) -> int:
     """M(x, y): perfect matchings between fibers with colour histograms x, y
     in which no edge joins equal colours."""
     assert sum(x) == sum(y)
-    return _table_sum(x, y, lambda i, j: i != j)
+    return sum(_matching_weights(x, y, lambda i, j: i != j))
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +243,7 @@ def proper_pair_matching_count(
         return i != i2 and j != j2
 
     assert sum(rows) == sum(cols)
-    return _table_sum(rows, cols, allowed)
+    return sum(_matching_weights(rows, cols, allowed))
 
 
 def histogram_pair_count(
@@ -239,6 +258,26 @@ def histogram_pair_count(
     for tail, head in g.edges:
         weight *= proper_matching_count(tuple(a_counts[tail]), tuple(a_counts[head]))
     return weight
+
+
+def _histogram_sum(
+    g: BaseGraph, n: int, multi: dict, edge_count: Callable[[object, object], int]
+) -> Fraction:
+    """Sum over every assignment of one histogram per vertex (the keys of
+    ``multi``, which maps each to its multinomial) of the vertex
+    multinomials times edge_count(tail, head) over the edges, divided by
+    the n!^{|E|} lifts."""
+    total = 0
+    for assignment in itertools.product(multi, repeat=g.num_vertices):
+        weight = 1
+        for h in assignment:
+            weight *= multi[h]
+        for tail, head in g.edges:
+            weight *= edge_count(assignment[tail], assignment[head])
+            if weight == 0:
+                break
+        total += weight
+    return Fraction(total, math.factorial(n) ** g.num_edges)
 
 
 def expected_X_exact(
@@ -257,52 +296,8 @@ def expected_X_exact(
         raise TooLargeError(
             f"{per_vertex}^{g.num_vertices} colour histograms exceed cap {profile_cap}"
         )
-    comps = list(compositions(n, k))
-    multi = {c: multinomial(n, c) for c in comps}
-    total = 0
-    for assignment in itertools.product(comps, repeat=g.num_vertices):
-        weight = 1
-        for c in assignment:
-            weight *= multi[c]
-        for tail, head in g.edges:
-            weight *= proper_matching_count(assignment[tail], assignment[head])
-            if weight == 0:
-                break
-        total += weight
-    return Fraction(total, math.factorial(n) ** g.num_edges)
-
-
-def _edge_table_weights(t: tuple[int, ...]) -> list[int]:
-    """Individual table weights t! * t! / B! for the per-edge sum M(t, t)."""
-    weights: list[int] = []
-    base = _vector_factorial(t) ** 2
-    k = len(t)
-    col_rem = list(t)
-
-    def fill_row(i: int, denom: int) -> None:
-        if i == k:
-            weights.append(base // denom)
-            return
-        cols = [j for j in range(k) if j != i]
-
-        def place(ci: int, left: int, d: int) -> None:
-            if ci == len(cols):
-                if left == 0:
-                    fill_row(i + 1, d)
-                return
-            j = cols[ci]
-            tail_capacity = sum(col_rem[c] for c in cols[ci + 1 :])
-            lo = max(0, left - tail_capacity)
-            hi = min(left, col_rem[j])
-            for bij in range(lo, hi + 1):
-                col_rem[j] -= bij
-                place(ci + 1, left - bij, d * math.factorial(bij))
-                col_rem[j] += bij
-
-        place(0, t[i], denom)
-
-    fill_row(0, 1)
-    return weights
+    multi = {c: multinomial(n, c) for c in compositions(n, k)}
+    return _histogram_sum(g, n, multi, proper_matching_count)
 
 
 def expected_Y_exact(
@@ -337,7 +332,7 @@ def _expected_Y_from_quotas(
     if factorized:
         m = proper_matching_count(t, t)
         return Fraction(vertex_factor * m**g.num_edges, math.factorial(n) ** g.num_edges)
-    weights = _edge_table_weights(t)
+    weights = list(_matching_weights(t, t, lambda i, j: i != j))
     total = 0
     for combo in itertools.product(weights, repeat=g.num_edges):
         w = 1
@@ -349,40 +344,11 @@ def _expected_Y_from_quotas(
 
 def _doubly_stochastic_tables(k: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
     """All k x k nonnegative integer tables with every row and column sum q."""
-    tables: list[tuple[tuple[int, ...], ...]] = []
-    col_rem = [q] * k
-    rows: list[tuple[int, ...]] = []
-
-    def fill_row(i: int) -> None:
-        if i == k:
-            tables.append(tuple(rows))
-            return
-
-        def place(j: int, left: int, row: list[int]) -> None:
-            if j == k - 1:
-                if left <= col_rem[j]:
-                    row.append(left)
-                    col_rem[j] -= left
-                    rows.append(tuple(row))
-                    fill_row(i + 1)
-                    rows.pop()
-                    col_rem[j] += left
-                    row.pop()
-                return
-            tail_capacity = sum(col_rem[c] for c in range(j + 1, k))
-            lo = max(0, left - tail_capacity)
-            hi = min(left, col_rem[j])
-            for bij in range(lo, hi + 1):
-                row.append(bij)
-                col_rem[j] -= bij
-                place(j + 1, left - bij, row)
-                col_rem[j] += bij
-                row.pop()
-
-        place(0, q, [])
-
-    fill_row(0)
-    return tables
+    cells = [(i, k + j) for i in range(k) for j in range(k)]
+    return [
+        tuple(flat[i * k : (i + 1) * k] for i in range(k))
+        for flat in margin_tables((q,) * (2 * k), cells)
+    ]
 
 
 def expected_Y2_exact(
@@ -404,19 +370,8 @@ def expected_Y2_exact(
         raise TooLargeError(
             f"{len(tables)}^{g.num_vertices} pair histograms exceed cap {profile_cap}"
         )
-    flat = {tab: tuple(x for row in tab for x in row) for tab in tables}
-    multi = {tab: multinomial(n, flat[tab]) for tab in tables}
-    total = 0
-    for assignment in itertools.product(tables, repeat=g.num_vertices):
-        weight = 1
-        for tab in assignment:
-            weight *= multi[tab]
-        for tail, head in g.edges:
-            weight *= proper_pair_matching_count(assignment[tail], assignment[head])
-            if weight == 0:
-                break
-        total += weight
-    return Fraction(total, math.factorial(n) ** g.num_edges)
+    multi = {tab: multinomial(n, [x for row in tab for x in row]) for tab in tables}
+    return _histogram_sum(g, n, multi, proper_pair_matching_count)
 
 
 def brute_force_moment(

@@ -11,7 +11,10 @@ rho(M) = sum m^2 over a row-stochastic matrix M:
             <= log k + c log((q-1)(k-1))
 
 with equality exactly at the uniform matrix.  ``square_gap``/``rect_gap``
-return RHS - LHS, which is nonnegative under the stated hypotheses.
+return RHS - LHS, which is nonnegative under the stated hypotheses.  Both
+take one matrix or a (..., q, k) stack and then return one gap per matrix;
+``project_transportation`` likewise runs Sinkhorn scaling on a whole stack
+at once, each matrix until its own margins converge.
 
 The overlap functionals f, F evaluated here drive the moment sums: their
 maxima over the feasible overlap polytopes sit at the uniform profiles, and
@@ -44,10 +47,14 @@ def _as_matrix(M) -> np.ndarray:
 
 
 def validate_row_stochastic(M, tol: float = 1e-9) -> np.ndarray:
-    M = _as_matrix(M)
+    """M as a float array, checked to be a row-stochastic matrix or a
+    (..., q, k) stack of them."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim < 2:
+        raise ValueError("expected a matrix or a stack of matrices")
     if np.any(M < -tol):
         raise ValueError("negative entry in stochastic matrix")
-    if np.max(np.abs(M.sum(axis=1) - 1.0)) > tol:
+    if np.max(np.abs(M.sum(axis=-1) - 1.0)) > tol:
         raise ValueError("row sums must equal 1")
     return M
 
@@ -72,19 +79,16 @@ def entropy_h(M) -> float:
     return float(-np.sum(xlogx(_as_matrix(M))))
 
 
-def square_gap(M, c: float) -> float:
-    """RHS - LHS of the square-matrix inequality; >= 0 when c < c_q."""
-    M = validate_row_stochastic(M)
-    q, cols = M.shape
+def square_gap(M, c: float):
+    """RHS - LHS of the square-matrix inequality; >= 0 when c < c_q.
+
+    The square inequality is the rectangular one at k = q, so this is
+    rect_gap on a q x q matrix or a (..., q, q) stack.
+    """
+    q, cols = np.shape(M)[-2:]
     if cols != q:
         raise ValueError(f"square_gap needs a square matrix, got {q} x {cols}")
-    if q < 3:
-        raise ValueError("q must be >= 3")
-    if not c < c_q(q):
-        raise DomainError(f"coefficient c = {c} is not below c_q = {c_q(q)}")
-    lhs = entropy_h(M) / q + c * math.log(q * q - 2 * q + rho(M))
-    rhs = math.log(q) + c * math.log((q - 1) ** 2)
-    return rhs - lhs
+    return rect_gap(M, c)
 
 
 def extend_matrix(M) -> np.ndarray:
@@ -115,10 +119,14 @@ def rect_coefficient_bound(q: int, k: int) -> float:
     return (k - 1) / (q - 1) * c_q(q)
 
 
-def rect_gap(M, c: float) -> float:
-    """RHS - LHS of the rectangular inequality; >= 0 when c is admissible."""
+def rect_gap(M, c: float):
+    """RHS - LHS of the rectangular inequality; >= 0 when c is admissible.
+
+    M is one q x k matrix (a float is returned) or a (..., q, k) stack (an
+    array of gaps with the stack's shape is returned).
+    """
     M = validate_row_stochastic(M)
-    q, k = M.shape
+    q, k = M.shape[-2:]
     if q < 3 or k > q:
         raise ValueError(f"need q >= 3 and k <= q, got {q} x {k}")
     if not c < rect_coefficient_bound(q, k):
@@ -126,9 +134,10 @@ def rect_gap(M, c: float) -> float:
             f"coefficient c = {c} is not below (k-1)/(q-1) c_q = "
             f"{rect_coefficient_bound(q, k)}"
         )
-    lhs = entropy_h(M) / q + c * math.log(k * q - k - q + (k / q) * rho(M))
-    rhs = math.log(k) + c * math.log((q - 1) * (k - 1))
-    return rhs - lhs
+    h = -np.sum(xlogx(M), axis=(-2, -1))
+    r = np.sum(M * M, axis=(-2, -1))
+    lhs = h / q + c * np.log(k * q - k - q + (k / q) * r)
+    return math.log(k) + c * math.log((q - 1) * (k - 1)) - lhs
 
 
 def rect_gap_second_form(M, c: float) -> float:
@@ -140,28 +149,6 @@ def rect_gap_second_form(M, c: float) -> float:
         - entropy_h(M) / q
         - c * math.log1p(((k / q) * rho(M) - 1.0) / ((q - 1) * (k - 1)))
     )
-
-
-def square_gap_batch(mats: np.ndarray, c: float) -> np.ndarray:
-    """Vectorised square_gap over a stack of q x q row-stochastic matrices."""
-    q = mats.shape[1]
-    if not c < c_q(q):
-        raise DomainError(f"coefficient c = {c} is not below c_q = {c_q(q)}")
-    h = -np.sum(xlogx(mats), axis=(1, 2))
-    r = np.sum(mats * mats, axis=(1, 2))
-    lhs = h / q + c * np.log(q * q - 2 * q + r)
-    return math.log(q) + c * math.log((q - 1) ** 2) - lhs
-
-
-def rect_gap_batch(mats: np.ndarray, c: float) -> np.ndarray:
-    """Vectorised rect_gap over a stack of q x k row-stochastic matrices."""
-    q, k = mats.shape[1], mats.shape[2]
-    if not c < rect_coefficient_bound(q, k):
-        raise DomainError("coefficient not admissible")
-    h = -np.sum(xlogx(mats), axis=(1, 2))
-    r = np.sum(mats * mats, axis=(1, 2))
-    lhs = h / q + c * np.log(k * q - k - q + (k / q) * r)
-    return math.log(k) + c * math.log((q - 1) * (k - 1)) - lhs
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +313,31 @@ def project_rows_to_simplex(M: np.ndarray, total: float = 1.0) -> np.ndarray:
 
 def project_transportation(M: np.ndarray, margin: float) -> np.ndarray:
     """Approximate projection onto {M >= 0, all row and column sums = margin}
-    by alternating row/column rescaling with nonnegativity clipping."""
+    by alternating row/column rescaling with nonnegativity clipping.
+
+    M is one k x k matrix or a (..., k, k) stack.  Each matrix is rescaled
+    until its own row and column sums are within PROJECTION_TOL of margin
+    (or PROJECTION_MAX_ITERS rounds pass) and is left alone from then on.
+    """
     M = np.maximum(np.asarray(M, dtype=float), 0.0)
-    M[M.sum() == 0] = margin  # degenerate all-zero input
+    M[M.sum(axis=(-2, -1)) == 0] = margin  # degenerate all-zero inputs
+    flat = M.reshape(-1, *M.shape[-2:])
+    todo = np.arange(len(flat))
     for _ in range(PROJECTION_MAX_ITERS):
-        rs = M.sum(axis=1, keepdims=True)
+        work = flat[todo]
+        rs = work.sum(axis=-1, keepdims=True)
         rs[rs == 0] = 1.0
-        M = M * (margin / rs)
-        cs = M.sum(axis=0, keepdims=True)
+        work = work * (margin / rs)
+        cs = work.sum(axis=-2, keepdims=True)
         cs[cs == 0] = 1.0
-        M = M * (margin / cs)
-        err = max(
-            float(np.max(np.abs(M.sum(axis=1) - margin))),
-            float(np.max(np.abs(M.sum(axis=0) - margin))),
+        work = work * (margin / cs)
+        flat[todo] = work
+        err = np.maximum(
+            np.max(np.abs(work.sum(axis=-1) - margin), axis=-1),
+            np.max(np.abs(work.sum(axis=-2) - margin), axis=-1),
         )
-        if err < PROJECTION_TOL:
+        todo = todo[err >= PROJECTION_TOL]
+        if not len(todo):
             break
     return M
 
@@ -465,7 +462,7 @@ def verify_max_uniform(
             return grad
 
         def project_fn(A):
-            return np.stack([project_transportation(Av, 1.0 / k) for Av in A])
+            return project_transportation(A, 1.0 / k)
 
         def sample():
             raw = rng.gamma(1.0, size=(g.num_vertices, k, k))

@@ -48,8 +48,8 @@ from liftchroma.moments_exact import (
 )
 from liftchroma.stochastic_opt import (
     rect_coefficient_bound,
-    rect_gap_batch,
-    square_gap_batch,
+    rect_gap,
+    square_gap,
     verify_max_uniform,
 )
 from liftchroma.thresholds import c_q, ell_threshold, k_d, u_threshold
@@ -188,11 +188,11 @@ def test_criterion_08_optimization_inequalities(k4):
     for q, c in ((3, 1.8), (4, 3.7)):
         assert c < c_q(q)
         mats = rng.dirichlet(np.ones(q), size=(100_000, q))
-        ok &= float(square_gap_batch(mats, c).min()) >= -1e-10
+        ok &= float(square_gap(mats, c).min()) >= -1e-10
     for q, k in ((4, 3), (5, 4)):
         c = 0.99 * rect_coefficient_bound(q, k)
         mats = rng.dirichlet(np.ones(k), size=(100_000, q))
-        ok &= float(rect_gap_batch(mats, c).min()) >= -1e-10
+        ok &= float(rect_gap(mats, c).min()) >= -1e-10
     ascent = verify_max_uniform("F", g=k4, k=3, trials=200, seed=314)
     ok &= ascent.gap_to_uniform >= -1e-9
     report("8: zero inequality violations over 10^5 trials; ascent stays at uniform", ok)

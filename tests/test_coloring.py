@@ -8,17 +8,20 @@ from conftest import (
     identity_lift,
     six_cycle_lift,
 )
+from liftchroma.base_graph import connected_components, make_complete_graph
 from liftchroma.coloring import (
     EquitableSpec,
+    _simple_adjacency,
     chromatic_bounds,
     chromatic_number,
     count_proper_colorings,
     count_strongly_equitable,
+    is_bipartite,
     is_k_colorable,
     node_budget,
 )
 from liftchroma.errors import BudgetExhaustedError, TooLargeError
-from liftchroma.lift import expand, sample_lift
+from liftchroma.lift import enumerate_lifts, expand, sample_lift
 
 
 def test_equitable_spec_quotas():
@@ -141,3 +144,68 @@ def test_chromatic_bounds_bracket(k4):
     lo, hi = chromatic_bounds(lg)
     assert lo <= chromatic_number(lg) <= hi
     assert (lo, hi) == (3, 3)
+
+
+# ---------------------------------------------------------------------------
+# Stack-DFS oracles for the shared graph traversal
+
+
+def _oracle_components(adj):
+    """The component walk that connected_components replaced."""
+    n = len(adj)
+    seen = [False] * n
+    comps = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        stack, comp = [s], []
+        seen[s] = True
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
+def _oracle_component_bipartite(adj, comp):
+    side = {comp[0]: 0}
+    stack = [comp[0]]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in side:
+                side[w] = side[u] ^ 1
+                stack.append(w)
+            elif side[w] == side[u]:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("m", [5, 6])
+@pytest.mark.parametrize("n", [2, 3, 40])
+def test_components_same_order_as_oracle(m, n):
+    for seed in range(4):
+        adj = _simple_adjacency(expand(sample_lift(make_complete_graph(m), n, seed)))
+        comps = connected_components(adj)
+        assert [comp for comp, _ in comps] == _oracle_components(adj)
+        assert [bipartite for _, bipartite in comps] == [
+            _oracle_component_bipartite(adj, comp) for comp, _ in comps
+        ]
+
+
+def test_bipartite_flags_match_oracle(k3, k4):
+    flags = set()
+    for g in (k3, k4):
+        for lift in enumerate_lifts(g, 2):
+            lg = expand(lift)
+            adj = _simple_adjacency(lg)
+            comps = connected_components(adj)
+            want = [_oracle_component_bipartite(adj, comp) for comp in _oracle_components(adj)]
+            assert [bipartite for _, bipartite in comps] == want
+            assert is_bipartite(lg) == all(want)
+            flags.add(is_bipartite(lg))
+    assert flags == {True, False}

@@ -151,6 +151,23 @@ def test_censoring_reported(monkeypatch):
         mc_expectation(k6, 5, None, "chi", samples=3, seed=0)
 
 
+def test_campaign_budget_reaches_solver(tmp_path, monkeypatch):
+    # the config's budget, not only LIFTCHROMA_BUDGET, bounds each solver call
+    monkeypatch.delenv("LIFTCHROMA_BUDGET", raising=False)
+    config = CampaignConfig(
+        graph="K6",
+        n_values=[5],
+        k=None,
+        statistics=["chi"],
+        samples=3,
+        seed=0,
+        output_prefix=str(tmp_path / "budget"),
+        budget=2,
+    )
+    with pytest.raises(BudgetExhaustedError):
+        run_campaign(config)
+
+
 def test_seed_expansion_is_stable():
     ss = sample_seed(123, 4, 5)
     assert ss.spawn_key == (4, 5)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 from liftchroma.asymptotics import ey2_asym, ey_asym, h_dk
 from liftchroma.base_graph import make_complete_graph
-from liftchroma.errors import DomainError, SingularHessianError
+from liftchroma.errors import DomainError, SingularHessianError, TooLargeError
 from liftchroma.lattice_tools import (
     ConstraintGraph,
     LatticeProblem,
@@ -174,6 +175,8 @@ def test_gamma_builders_counts(k3, k4):
     assert (gb.num_vertices, gb.num_edges, len(gb.components())) == (18, 18, 3)
     ga = build_gamma_a(k4, 3)
     assert (ga.num_vertices, ga.num_edges, len(ga.components())) == (24, 36, 4)
+    assert gb.is_bipartite() and ga.is_bipartite()
+    assert not ConstraintGraph(3, ((0, 1), (1, 2), (2, 0))).is_bipartite()
 
 
 def test_gamma_b_cyclic_solution_consistent(k3):
@@ -361,6 +364,21 @@ def test_lattice_enumeration_counts():
             sum(Fraction(int(c)) * x for c, x in zip(row, p)) == Fraction(1, 3)
             for row in d
         )
+
+
+def test_lattice_enumeration_binding_box():
+    # a box tighter than the margins keeps exactly the points inside it,
+    # in the same order; n * box is rounded inwards (3 <= 30x <= 7)
+    problem = _single_edge_problem(3)
+    free = list(enumerate_lattice_points(problem, 30))
+    lo, hi = Fraction(1, 10), Fraction(1, 4)
+    boxed = dataclasses.replace(problem, box=tuple((lo, hi) for _ in problem.box))
+    points = list(enumerate_lattice_points(boxed, 30))
+    assert points == [p for p in free if all(lo <= x <= hi for x in p)]
+    assert len(points) == 5
+    assert len(list(enumerate_lattice_points(boxed, 30, cap=5))) == 5
+    with pytest.raises(TooLargeError):
+        list(enumerate_lattice_points(boxed, 30, cap=4))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,17 @@ from liftchroma.errors import TooLargeError
 from liftchroma.lift import enumerate_lifts, expand
 from liftchroma.moments_exact import (
     OverlapProfile,
+    _doubly_stochastic_tables,
     brute_force_moment,
+    compositions,
     expected_X_exact,
     expected_Y2_exact,
     expected_Y_exact,
     expected_Y_exact_extended,
     histogram_pair_count,
+    margin_tables,
     proper_matching_count,
+    proper_pair_matching_count,
 )
 
 
@@ -198,3 +202,131 @@ def test_overlap_profile_validation(k3):
     )
     with pytest.raises(ValueError):
         bad.validate(k3)
+
+
+# ---------------------------------------------------------------------------
+# Recursive DFS oracles for the table kernel
+
+
+def _oracle_table_sum(row_margins, col_margins, allowed) -> int:
+    """sum over allowed-support tables B of rows! * cols! / B!, by the
+    row-by-row recursive DFS that margin_tables replaced."""
+    nrows, ncols = len(row_margins), len(col_margins)
+    col_rem = list(col_margins)
+    base = math.prod(map(math.factorial, row_margins)) * math.prod(
+        map(math.factorial, col_margins)
+    )
+    allowed_cols = [[j for j in range(ncols) if allowed(i, j)] for i in range(nrows)]
+    total = 0
+
+    def fill_row(i, denom):
+        nonlocal total
+        if i == nrows:
+            total += base // denom
+            return
+        cols = allowed_cols[i]
+
+        def place(ci, left, denom_row):
+            if ci == len(cols):
+                if left == 0:
+                    fill_row(i + 1, denom_row)
+                return
+            j = cols[ci]
+            tail_capacity = sum(col_rem[c] for c in cols[ci + 1 :])
+            for bij in range(max(0, left - tail_capacity), min(left, col_rem[j]) + 1):
+                col_rem[j] -= bij
+                place(ci + 1, left - bij, denom_row * math.factorial(bij))
+                col_rem[j] += bij
+
+        place(0, row_margins[i], denom)
+
+    fill_row(0, 1)
+    return total
+
+
+def _oracle_doubly_stochastic_tables(k, q):
+    """k x k tables with all margins q, by the recursive DFS that
+    margin_tables replaced."""
+    tables = []
+    col_rem = [q] * k
+    rows = []
+
+    def fill_row(i):
+        if i == k:
+            tables.append(tuple(rows))
+            return
+
+        def place(j, left, row):
+            if j == k - 1:
+                if left <= col_rem[j]:
+                    col_rem[j] -= left
+                    rows.append(tuple(row + [left]))
+                    fill_row(i + 1)
+                    rows.pop()
+                    col_rem[j] += left
+                return
+            tail_capacity = sum(col_rem[c] for c in range(j + 1, k))
+            for bij in range(max(0, left - tail_capacity), min(left, col_rem[j]) + 1):
+                col_rem[j] -= bij
+                place(j + 1, left - bij, row + [bij])
+                col_rem[j] += bij
+
+        place(0, q, [])
+
+    fill_row(0)
+    return tables
+
+
+def _pair_cells_allowed(r, c):
+    i, j = divmod(r, 3)
+    i2, j2 = divmod(c, 3)
+    return i != i2 and j != j2
+
+
+def test_matching_counts_equal_recursive_oracle():
+    comps = list(compositions(6, 3))
+    assert len(comps) == 28
+    for x in comps:
+        for y in comps:
+            assert proper_matching_count(x, y) == _oracle_table_sum(x, y, lambda i, j: i != j)
+    tables = _oracle_doubly_stochastic_tables(3, 2)
+    assert len(tables) == 21
+    for x in tables:
+        for y in tables:
+            rows = tuple(v for row in x for v in row)
+            cols = tuple(v for row in y for v in row)
+            assert proper_pair_matching_count(x, y) == _oracle_table_sum(
+                rows, cols, _pair_cells_allowed
+            )
+
+
+@pytest.mark.parametrize("k,q", [(2, 4), (3, 2), (3, 3), (4, 2)])
+def test_doubly_stochastic_tables_same_order_as_oracle(k, q):
+    assert _doubly_stochastic_tables(k, q) == _oracle_doubly_stochastic_tables(k, q)
+
+
+@pytest.mark.parametrize(
+    "margins,cells,bounds",
+    [
+        # a 2 x 3 table with one forbidden cell
+        ((3, 2, 1, 2, 2), [(0, 2), (0, 3), (0, 4), (1, 2), (1, 4)], None),
+        # repeated cells and per-cell bounds that bind
+        ((3, 4, 2, 5), [(0, 2), (0, 3), (0, 3), (1, 2), (1, 3)], [(1, 2), (0, 1), (0, 3), (0, 3), (2, 9)]),
+        # a line with no cells: margin 0 is fine, margin 1 leaves no table
+        ((1, 0, 1), [(0, 2)], None),
+        ((1, 1, 1), [(0, 2)], None),
+        ((), [], None),
+    ],
+)
+def test_margin_tables_equal_filtered_product(margins, cells, bounds):
+    top = max(margins, default=0)
+    ranges = [range(lo, hi + 1) for lo, hi in bounds] if bounds else [range(top + 1)] * len(cells)
+    want = [
+        x
+        for x in itertools.product(*ranges)
+        if all(
+            sum(v for v, (a, b) in zip(x, cells) if line in (a, b)) == margin
+            for line, margin in enumerate(margins)
+        )
+    ]
+    assert list(margin_tables(margins, cells, bounds)) == want

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from liftchroma import stochastic_opt
 from liftchroma.asymptotics import log_rate
 from liftchroma.errors import DegenerateEdgeError, DomainError
 from liftchroma.stochastic_opt import (
+    PROJECTION_MAX_ITERS,
+    PROJECTION_TOL,
     F_A,
     b_star,
     entropy_h,
@@ -17,11 +20,9 @@ from liftchroma.stochastic_opt import (
     project_transportation,
     rect_coefficient_bound,
     rect_gap,
-    rect_gap_batch,
     rect_gap_second_form,
     rho,
     square_gap,
-    square_gap_batch,
     uniform_pair_profile,
     uniform_profile,
     verify_max_uniform,
@@ -95,7 +96,7 @@ def test_square_gap_nonnegative_random(q, c):
     assert c < c_q(q)
     rng = np.random.default_rng(q * 1000)
     mats = rng.dirichlet(np.ones(q), size=(100_000, q))
-    assert square_gap_batch(mats, c).min() >= -1e-10
+    assert square_gap(mats, c).min() >= -1e-10
 
 
 @pytest.mark.parametrize("q,k", [(4, 3), (5, 3), (5, 4)])
@@ -103,7 +104,7 @@ def test_rect_gap_nonnegative_random(q, k):
     c = 0.99 * rect_coefficient_bound(q, k)
     rng = np.random.default_rng(q * 100 + k)
     mats = rng.dirichlet(np.ones(k), size=(100_000, q))
-    assert rect_gap_batch(mats, c).min() >= -1e-10
+    assert rect_gap(mats, c).min() >= -1e-10
 
 
 def test_f_ab_uniform_value(k4):
@@ -210,9 +211,8 @@ def test_F_A_below_uniform_random(k4):
     # 10^4 random doubly-stochastic pair profiles never beat the uniform one
     rng = np.random.default_rng(12)
     uniform_val = F_A(k4, uniform_pair_profile(k4, 3))
-    for _ in range(10_000):
-        raw = rng.gamma(1.0, size=(4, 3, 3))
-        a = np.stack([project_transportation(m, 1 / 3) for m in raw])
+    profiles = project_transportation(rng.gamma(1.0, size=(10_000, 4, 3, 3)), 1 / 3)
+    for a in profiles:
         assert F_A(k4, a) < uniform_val + 1e-9
 
 
@@ -237,3 +237,86 @@ def test_verify_max_uniform_small(k4):
     assert rep_r.gap_to_uniform >= -1e-9
     with pytest.raises(ValueError):
         verify_max_uniform("nope", k=3)
+
+
+# ---------------------------------------------------------------------------
+# Per-matrix oracles for the stack-aware functions
+
+
+def _oracle_project_transportation(M, margin):
+    """The per-matrix Sinkhorn loop that project_transportation replaced."""
+    M = np.maximum(np.asarray(M, dtype=float), 0.0)
+    M[M.sum() == 0] = margin
+    for _ in range(PROJECTION_MAX_ITERS):
+        rs = M.sum(axis=1, keepdims=True)
+        rs[rs == 0] = 1.0
+        M = M * (margin / rs)
+        cs = M.sum(axis=0, keepdims=True)
+        cs[cs == 0] = 1.0
+        M = M * (margin / cs)
+        err = max(
+            float(np.max(np.abs(M.sum(axis=1) - margin))),
+            float(np.max(np.abs(M.sum(axis=0) - margin))),
+        )
+        if err < PROJECTION_TOL:
+            break
+    return M
+
+
+def test_batched_sinkhorn_equals_per_matrix_loop():
+    rng = np.random.default_rng(2024)
+    raw = rng.gamma(0.3, size=(100, 4, 3, 3))
+    raw[7, 2] = 0.0  # an all-zero matrix
+    raw[11, 0, 1] = 0.0  # a zero row
+    raw[13] = rng.normal(size=(4, 3, 3))  # negative entries are clipped
+    batched = project_transportation(raw, 1 / 3)
+    assert batched.shape == raw.shape
+    oracle = np.array([[_oracle_project_transportation(m, 1 / 3) for m in p] for p in raw])
+    assert np.array_equal(batched, oracle)
+    assert np.allclose(batched[7, 2], 1 / 9)
+    single = project_transportation(raw[3, 1], 1 / 3)
+    assert np.array_equal(single, oracle[3, 1])
+
+
+def test_F_ascent_equals_per_matrix_projection(k4, monkeypatch):
+    # every trial's end point, not only the best one (which stays uniform)
+    runs = []
+    ascend = stochastic_opt._ascend
+
+    def recording_ascend(*args, **kwargs):
+        x, val = ascend(*args, **kwargs)
+        runs[-1].append((x, val))
+        return x, val
+
+    def per_matrix(A, margin):
+        return np.stack([_oracle_project_transportation(m, margin) for m in A])
+
+    monkeypatch.setattr(stochastic_opt, "_ascend", recording_ascend)
+    for project in (project_transportation, per_matrix):
+        monkeypatch.setattr(stochastic_opt, "project_transportation", project)
+        runs.append([])
+        verify_max_uniform("F", g=k4, k=3, trials=5, seed=7)
+    assert len(runs[0]) == len(runs[1]) == 5
+    for (x, val), (x_old, val_old) in zip(*runs):
+        assert val == val_old
+        assert np.array_equal(x, x_old)
+
+
+def test_gaps_on_stacks_equal_single_matrices():
+    rng = np.random.default_rng(5)
+    sq = rng.dirichlet(np.ones(4), size=(3, 5, 4))
+    gaps = square_gap(sq, 3.0)
+    assert gaps.shape == (3, 5)
+    assert all(gaps[i, j] == square_gap(sq[i, j], 3.0) for i in range(3) for j in range(5))
+    rect = rng.dirichlet(np.ones(3), size=(6, 5))
+    c = 0.9 * rect_coefficient_bound(5, 3)
+    assert rect_gap(rect, c).shape == (6,)
+    assert all(rect_gap(rect, c)[i] == rect_gap(rect[i], c) for i in range(6))
+    bad = sq.copy()
+    bad[1, 2, 0, 0] += 0.5
+    with pytest.raises(ValueError):
+        square_gap(bad, 3.0)
+    with pytest.raises(ValueError):
+        rect_gap(rng.dirichlet(np.ones(3), size=(4, 2)), 0.1)  # q < 3
+    with pytest.raises(DomainError):
+        square_gap(sq, c_q(4))
