@@ -46,25 +46,6 @@ class LogValue:
     log: float
     sign: int
 
-    @staticmethod
-    def from_value(x: float) -> "LogValue":
-        if x == 0:
-            return LogValue(float("-inf"), 0)
-        return LogValue(math.log(abs(x)), 1 if x > 0 else -1)
-
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.log)
-        except OverflowError:
-            return self.sign * float("inf")
-
-    def ratio_to(self, other: "LogValue") -> float:
-        if other.sign == 0:
-            raise ZeroDivisionError("ratio to a zero LogValue")
-        return (self.sign / other.sign) * math.exp(self.log - other.log)
-
 
 @dataclass(frozen=True)
 class SscmConstants:
@@ -146,24 +127,6 @@ def sscm_constants(g: BaseGraph, k: int, J: int) -> SscmConstants:
         delta=delta,
         J=J,
         convergence_ratio=math.sqrt(d - 1) / (k - 1) ** 2,
-    )
-
-
-@dataclass(frozen=True)
-class MomentConstants:
-    """The three moment prefactors plus the quadratic-penalty eigenvalue pair."""
-
-    C1: float
-    C2: float
-    h: float
-    lambda_pair: tuple[int, int]
-
-
-def moment_constants(g: BaseGraph, k: int) -> MomentConstants:
-    lam, lamp = lambdas(k)
-    assert lam * lamp == (k - 1) ** 4 - 1
-    return MomentConstants(
-        C1=c1(g, k), C2=c2(g, k), h=h_dk(g, k), lambda_pair=(lam, lamp)
     )
 
 
@@ -372,14 +335,6 @@ def joint_moment_prediction(g: BaseGraph, k: int, j: int) -> float:
     return lam_j * (1 + delta_j)
 
 
-def joint_moment_prediction_multi(g: BaseGraph, k: int, powers: dict[int, int]) -> float:
-    """Joint factorial-moment limit: prod_j (lambda_j (1 + delta_j))^{p_j}."""
-    out = 1.0
-    for j, p in powers.items():
-        out *= joint_moment_prediction(g, k, j) ** p
-    return out
-
-
 def log_gamma_nk(n: int, k: int) -> float:
     """log of the inner-sum constant gamma(n, k).
 
@@ -396,11 +351,6 @@ def log_gamma_nk(n: int, k: int) -> float:
         - (k - 1) ** 2 * math.log(lam)
         - (k * k - 1) * math.log(k - 2)
     )
-
-
-def gamma_nk(n: int, k: int) -> float:
-    """Inner-sum constant gamma(n, k) of the pair-colouring saddle point."""
-    return math.exp(log_gamma_nk(n, k))
 
 
 def build_B(k: int) -> np.ndarray:
@@ -429,13 +379,3 @@ def B_spectrum_check(k: int, tol: float = 1e-8) -> bool:
     eig = np.sort(np.linalg.eigvalsh(build_B(k)))
     expected = np.array(expected_B_spectrum(k))
     return bool(np.max(np.abs(eig - expected)) < tol)
-
-
-def scaling_factor(g: BaseGraph, k: int, r: int) -> float:
-    """Predicted E[Y_n^2]/E[Y_{n-r}^2] when n = qk + r: (k^{|V|}((k-1)/k)^{|E|})^{2r}."""
-    validate(g)
-    if r < 0 or r > k - 1:
-        raise ValueError(f"need 0 <= r <= k-1, got r={r}")
-    if r == 0:
-        return 1.0
-    return math.exp(2 * r * log_rate(g, k))

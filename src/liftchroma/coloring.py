@@ -21,13 +21,14 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass
+from typing import Sequence
 
 from .base_graph import connected_components
 from .errors import BudgetExhaustedError, TooLargeError
 from .lift import Lift, LiftedGraph, expand
 
 DEFAULT_NODE_BUDGET = 10**8
-DEFAULT_COUNT_VERTEX_CAP = 40
+COUNT_VERTEX_CAP = 40  # vertex limit of the two exact colouring counters
 
 
 def node_budget(budget: int | None = None) -> int:
@@ -72,23 +73,13 @@ class _Budget:
             raise BudgetExhaustedError("search node budget exhausted")
 
 
-def _simple_adjacency(lg: LiftedGraph) -> list[list[int]]:
-    """Deduplicated adjacency; parallel edges impose the same constraint."""
-    adj = [set() for _ in range(lg.num_vertices)]
-    for u, w in lg.edges:
-        if u != w:
-            adj[u].add(w)
-            adj[w].add(u)
-    return [sorted(a) for a in adj]
-
-
 def is_bipartite(lg: LiftedGraph) -> bool:
-    return all(bipartite for _, bipartite in connected_components(_simple_adjacency(lg)))
+    return all(bipartite for _, bipartite in connected_components(lg.simple_adjacency))
 
 
 def greedy_clique(lg: LiftedGraph) -> int:
     """Greedy clique lower bound for the chromatic number."""
-    adj = [set(a) for a in _simple_adjacency(lg)]
+    adj = [set(a) for a in lg.simple_adjacency]
     if lg.num_vertices == 0:
         return 0
     best = 1
@@ -102,13 +93,17 @@ def greedy_clique(lg: LiftedGraph) -> int:
     return best
 
 
-def _dsatur_decide(adj: list[list[int]], vertices: list[int], k: int, budget: _Budget) -> bool:
+def _dsatur_decide(
+    adj: Sequence[Sequence[int]], vertices: list[int], k: int, budget: _Budget
+) -> bool:
     """Backtracking 'does this connected component admit a k-colouring'.
 
     Saturation-degree vertex selection (lazy max-heap; stale entries are
     re-pushed on every saturation change and filtered at pop time) plus
     colour-symmetry breaking: a vertex may use at most one colour index
-    beyond those already in use.
+    beyond those already in use.  The search keeps one frame per coloured
+    vertex on an explicit stack, so no component size can overflow the
+    Python stack; each node visited costs one unit of ``budget``.
     """
     index = {v: i for i, v in enumerate(vertices)}
     local_adj = [[index[w] for w in adj[v] if w in index] for v in vertices]
@@ -129,15 +124,30 @@ def _dsatur_decide(adj: list[list[int]], vertices: list[int], k: int, budget: _B
             return v
         return -1
 
-    def solve(used: int) -> bool:
-        nonlocal uncolored
+    # frame: [vertex, colours in use when it was picked, its colour (-1
+    # before the first try), the neighbours whose saturation that colour raised]
+    stack: list[list] = []
+    used = 0
+    while True:
         budget.spend()
         if uncolored == 0:
             return True
-        v = pick()
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if c in neighbor_colors[v]:
+        stack.append([pick(), used, -1, []])
+        while stack:
+            frame = stack[-1]
+            v, used, c, touched = frame
+            if c >= 0:  # everything below colour c failed: take it back
+                colors[v] = -1
+                uncolored += 1
+                for w in touched:
+                    neighbor_colors[w].remove(c)
+                    heapq.heappush(heap, (-len(neighbor_colors[w]), -degrees[w], w))
+            limit = min(k, used + 1)
+            c += 1
+            while c < limit and c in neighbor_colors[v]:
+                c += 1
+            if c == limit:
+                stack.pop()
                 continue
             colors[v] = c
             uncolored -= 1
@@ -151,19 +161,15 @@ def _dsatur_decide(adj: list[list[int]], vertices: list[int], k: int, budget: _B
                     heapq.heappush(heap, (-sat, -degrees[w], w))
                     if sat >= k:
                         dead_end = True
-            if not dead_end and solve(max(used, c + 1)):
-                return True
-            colors[v] = -1
-            uncolored += 1
-            for w in touched:
-                neighbor_colors[w].remove(c)
-                heapq.heappush(heap, (-len(neighbor_colors[w]), -degrees[w], w))
-        return False
-
-    return solve(0)
+            frame[2], frame[3] = c, touched
+            if not dead_end:
+                used = max(used, c + 1)
+                break
+        else:
+            return False
 
 
-def _is_complete(adj: list[list[int]], comp: list[int]) -> bool:
+def _is_complete(adj: Sequence[Sequence[int]], comp: list[int]) -> bool:
     comp_set = set(comp)
     return all(
         sum(1 for w in adj[v] if w in comp_set) == len(comp) - 1 for v in comp
@@ -181,7 +187,7 @@ def is_k_colorable(lg: LiftedGraph, k: int, budget: int | None = None) -> bool:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    adj = _simple_adjacency(lg)
+    adj = lg.simple_adjacency
     if k == 0:
         return lg.num_vertices == 0
     if k == 1:
@@ -211,7 +217,7 @@ def chromatic_number(lg: LiftedGraph, budget: int | None = None) -> int:
     """Smallest k admitting a proper k-colouring."""
     if lg.num_vertices == 0:
         return 0
-    adj = _simple_adjacency(lg)
+    adj = lg.simple_adjacency
     if all(len(a) == 0 for a in adj):
         return 1
     if is_bipartite(lg):
@@ -235,7 +241,7 @@ def chromatic_bounds(
     """
     if lg.num_vertices == 0:
         return (0, 0)
-    adj = _simple_adjacency(lg)
+    adj = lg.simple_adjacency
     if all(len(a) == 0 for a in adj):
         return (1, 1)
     lo = 2 if is_bipartite(lg) else 3
@@ -252,7 +258,7 @@ def chromatic_bounds(
     return (lo, hi)
 
 
-def _greedy_upper(adj: list[list[int]]) -> int:
+def _greedy_upper(adj: Sequence[Sequence[int]]) -> int:
     n = len(adj)
     colors = [-1] * n
     neighbor_colors = [set() for _ in range(n)]
@@ -274,7 +280,7 @@ def _greedy_upper(adj: list[list[int]]) -> int:
 
 
 def _count_component(
-    adj: list[list[int]], vertices: list[int], k: int, budget: _Budget
+    adj: Sequence[Sequence[int]], vertices: list[int], k: int, budget: _Budget
 ) -> int:
     """Labelled proper k-colouring count of one connected component.
 
@@ -322,22 +328,21 @@ def _count_component(
     return result
 
 
-def count_proper_colorings(
-    lg: LiftedGraph,
-    k: int,
-    budget: int | None = None,
-    vertex_cap: int = DEFAULT_COUNT_VERTEX_CAP,
-) -> int:
+def _check_count_size(lg: LiftedGraph) -> None:
+    if lg.num_vertices > COUNT_VERTEX_CAP:
+        raise TooLargeError(
+            f"{lg.num_vertices} vertices exceeds exact-count cap {COUNT_VERTEX_CAP}"
+        )
+
+
+def count_proper_colorings(lg: LiftedGraph, k: int, budget: int | None = None) -> int:
     """Exact number of labelled proper k-colourings (all of them)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if lg.num_vertices > vertex_cap:
-        raise TooLargeError(
-            f"{lg.num_vertices} vertices exceeds exact-count cap {vertex_cap}"
-        )
+    _check_count_size(lg)
     if k == 0:
         return 1 if lg.num_vertices == 0 else 0
-    adj = _simple_adjacency(lg)
+    adj = lg.simple_adjacency
     b = _Budget(node_budget(budget))
     total = 1
     for comp, _ in connected_components(adj):
@@ -350,12 +355,7 @@ def count_proper_colorings(
     return total
 
 
-def count_strongly_equitable(
-    lift: Lift,
-    k: int,
-    budget: int | None = None,
-    vertex_cap: int = DEFAULT_COUNT_VERTEX_CAP,
-) -> int:
+def count_strongly_equitable(lift: Lift, k: int, budget: int | None = None) -> int:
     """Exact number of proper colourings meeting every fiber's quotas.
 
     Uses the extended quota rule (colours 0..r-1 get the larger class), so
@@ -364,13 +364,10 @@ def count_strongly_equitable(
     if k < 1:
         raise ValueError("k must be >= 1")
     lg = expand(lift)
-    if lg.num_vertices > vertex_cap:
-        raise TooLargeError(
-            f"{lg.num_vertices} vertices exceeds exact-count cap {vertex_cap}"
-        )
+    _check_count_size(lg)
     spec = EquitableSpec(k=k, n=lift.n)
     quotas = spec.quotas()
-    adj = _simple_adjacency(lg)
+    adj = lg.simple_adjacency
     n = lift.n
     num_fibers = lift.base.num_vertices
 

@@ -29,7 +29,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import re
 import time
 from dataclasses import asdict, dataclass
@@ -43,7 +42,6 @@ from .base_graph import BaseGraph, resolve_graph_arg, validate
 from .coloring import chromatic_number, count_proper_colorings, count_strongly_equitable
 from .errors import BudgetExhaustedError, InvalidConfigError, UndefinedRatioError
 from .lift import Lift, count_cycles_up_to, enumerate_lifts, expand, sample_lift
-from .moments_exact import brute_force_moment
 
 _STAT_RE = re.compile(r"^(?:Z(\d+)|Y\*Z(\d+)|X|Y|chi)$")
 
@@ -128,31 +126,17 @@ def mc_expectation(
     samples: int,
     seed: int,
     cell_index: int = 0,
-    exact: bool = False,
     budget: int | None = None,
 ) -> EstimateRecord:
     """Sample mean and standard error of a statistic over independent lifts.
 
     Budget-exhausted samples are excluded from the mean and reported as
-    censored, never silently folded in.  ``exact=True`` averages over the
-    full lift space by enumeration instead of sampling.  ``budget`` is
-    passed to make_statistic.
+    censored, never silently folded in.  ``budget`` is passed to
+    make_statistic.
     """
     validate(g)
     stat = make_statistic(statistic, k, budget)
     start = time.perf_counter()
-    if exact:
-        value = brute_force_moment(g, n, stat)
-        return EstimateRecord(
-            statistic=statistic,
-            n=n,
-            k=k,
-            mean=float(value),
-            stderr=0.0,
-            samples=math.factorial(n) ** g.num_edges,
-            censored=0,
-            seconds=time.perf_counter() - start,
-        )
     values: list[float] = []
     censored = 0
     for idx in range(samples):
@@ -190,27 +174,26 @@ def joint_ratio_estimate(
     This targets E[Y Z_j] / E[Y] (a ratio of expectations, hence
     sum-over-sum rather than a mean of per-lift ratios).  With
     ``samples=None`` the full lift space is enumerated and the ratio is
-    exact.  Raises UndefinedRatioError when the denominator vanishes.
+    exact.  Y and Z_j are each counted once per lift.  Raises
+    UndefinedRatioError when the denominator vanishes.
     """
     validate(g)
     y_stat = make_statistic("Y", k)
-    yz_stat = make_statistic(f"Y*Z{j}", k)
+    z_stat = make_statistic(f"Z{j}", None)
+    if samples is None:
+        lifts = enumerate_lifts(g, n)
+    else:
+        lifts = (sample_lift(g, n, sample_seed(seed, 0, idx)) for idx in range(samples))
     num = Fraction(0)
     den = Fraction(0)
-    if samples is None:
-        for lift in enumerate_lifts(g, n):
-            num += yz_stat(lift)
-            den += y_stat(lift)
-        if den == 0:
-            raise UndefinedRatioError("sum of Y over all lifts is zero")
-        return num / den
-    for idx in range(samples):
-        lift = sample_lift(g, n, sample_seed(seed, 0, idx))
-        num += yz_stat(lift)
-        den += y_stat(lift)
+    for lift in lifts:
+        y = y_stat(lift)
+        num += y * z_stat(lift)
+        den += y
     if den == 0:
-        raise UndefinedRatioError("sum of Y over the sample is zero")
-    return float(num / den)
+        where = "all lifts" if samples is None else "the sample"
+        raise UndefinedRatioError(f"sum of Y over {where} is zero")
+    return num / den if samples is None else float(num / den)
 
 
 @dataclass

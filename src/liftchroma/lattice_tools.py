@@ -47,8 +47,6 @@ class ConstraintGraph:
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
-    vertex_labels: tuple = ()
-    edge_labels: tuple = ()
 
     def __post_init__(self):
         for u, v in self.edges:
@@ -85,16 +83,11 @@ def incidence_unsigned(gamma: ConstraintGraph) -> np.ndarray:
     return d
 
 
-def incidence_signed(
-    gamma: ConstraintGraph, orientation: Sequence[tuple[int, int]] | None = None
-) -> np.ndarray:
-    """|V| x |E| signed incidence matrix: +1 at the tail, -1 at the head.
-
-    The default orientation takes each stored edge as (tail, head).
-    """
-    edges = gamma.edges if orientation is None else tuple(orientation)
+def incidence_signed(gamma: ConstraintGraph) -> np.ndarray:
+    """|V| x |E| signed incidence matrix: +1 at the tail, -1 at the head of
+    each stored edge (tail, head)."""
     d = np.zeros((gamma.num_vertices, gamma.num_edges), dtype=np.int64)
-    for e, (u, v) in enumerate(edges):
+    for e, (u, v) in enumerate(gamma.edges):
         d[u, e] = 1
         d[v, e] = -1
     return d
@@ -210,12 +203,6 @@ def kernel_basis(d_matrix: np.ndarray) -> list[list[int]]:
     return out
 
 
-def matrix_rank(d_matrix: np.ndarray) -> int:
-    u = kernel_basis(d_matrix)
-    nullity = len(u[0]) if u else 0
-    return d_matrix.shape[1] - nullity
-
-
 def tau_maximal_forests(gamma: ConstraintGraph) -> int:
     """Number of maximal forests: product over components of spanning-tree
     counts, each an exact reduced-Laplacian determinant (multi-edges count)."""
@@ -303,29 +290,44 @@ def random_unimodular(size: int, rng) -> list[list[int]]:
 # Constraint graphs for the moment sums
 
 
+def _bipartite_blocks(k: int, count: int, minus_matching: bool) -> ConstraintGraph:
+    """``count`` disjoint copies of K_{k,k}, each minus its perfect matching
+    when ``minus_matching``.
+
+    Block b has left vertices 2kb + i (first-coordinate equations) and right
+    vertices 2kb + k + i2 (second-coordinate equations); its edges (i, i2),
+    one per variable, come in lexicographic order, blocks in order of b.
+    """
+    if k < 3:
+        raise ValueError("k must be >= 3")
+    edges = tuple(
+        (2 * k * b + i, 2 * k * b + k + i2)
+        for b in range(count)
+        for i in range(k)
+        for i2 in range(k)
+        if not (minus_matching and i == i2)
+    )
+    gamma = ConstraintGraph(num_vertices=2 * k * count, edges=edges)
+    degree = k - 1 if minus_matching else k
+    deg = [0] * gamma.num_vertices
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    comps = gamma.components()
+    assert all(len(c) == 2 * k for c in comps)
+    assert all(x == degree for x in deg)
+    assert gamma.is_bipartite()
+    assert len(comps) * k * degree == gamma.num_edges
+    return gamma
+
+
 def gamma_b_component(k: int) -> ConstraintGraph:
     """One per-edge block: K_{k,k} minus a perfect matching.
 
     Left vertices are tail-colour equations, right vertices head-colour
     equations; edge (i, i2) (i != i2) is the overlap variable b_{i,i2}.
     """
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    vertex_labels = [("tail", i) for i in range(k)] + [("head", i) for i in range(k)]
-    edges = []
-    edge_labels = []
-    for i in range(k):
-        for i2 in range(k):
-            if i2 == i:
-                continue
-            edges.append((i, k + i2))
-            edge_labels.append(("b", i, i2))
-    return ConstraintGraph(
-        num_vertices=2 * k,
-        edges=tuple(edges),
-        vertex_labels=tuple(vertex_labels),
-        edge_labels=tuple(edge_labels),
-    )
+    return _bipartite_blocks(k, 1, minus_matching=True)
 
 
 def build_gamma_b(g: BaseGraph, k: int) -> ConstraintGraph:
@@ -337,29 +339,7 @@ def build_gamma_b(g: BaseGraph, k: int) -> ConstraintGraph:
     lexicographic with i != i2.
     """
     validate(g)
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    vertex_labels = []
-    edges = []
-    edge_labels = []
-    for e in range(g.num_edges):
-        off = 2 * k * e
-        vertex_labels += [("w", e, 1, i) for i in range(k)]
-        vertex_labels += [("w", e, 2, i) for i in range(k)]
-        for i in range(k):
-            for i2 in range(k):
-                if i2 == i:
-                    continue
-                edges.append((off + i, off + k + i2))
-                edge_labels.append(("b", e, i, i2))
-    gamma = ConstraintGraph(
-        num_vertices=2 * k * g.num_edges,
-        edges=tuple(edges),
-        vertex_labels=tuple(vertex_labels),
-        edge_labels=tuple(edge_labels),
-    )
-    _assert_uniform_components(gamma, 2 * k, k * (k - 1), k - 1)
-    return gamma
+    return _bipartite_blocks(k, g.num_edges, minus_matching=True)
 
 
 def build_gamma_a(g: BaseGraph, k: int) -> ConstraintGraph:
@@ -369,41 +349,7 @@ def build_gamma_a(g: BaseGraph, k: int) -> ConstraintGraph:
     order: grouped by base vertex, then (i, j) lexicographic.
     """
     validate(g)
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    vertex_labels = []
-    edges = []
-    edge_labels = []
-    for v in range(g.num_vertices):
-        off = 2 * k * v
-        vertex_labels += [("w", v, 1, i) for i in range(k)]
-        vertex_labels += [("w", v, 2, j) for j in range(k)]
-        for i in range(k):
-            for j in range(k):
-                edges.append((off + i, off + k + j))
-                edge_labels.append(("a", v, i, j))
-    gamma = ConstraintGraph(
-        num_vertices=2 * k * g.num_vertices,
-        edges=tuple(edges),
-        vertex_labels=tuple(vertex_labels),
-        edge_labels=tuple(edge_labels),
-    )
-    _assert_uniform_components(gamma, 2 * k, k * k, k)
-    return gamma
-
-
-def _assert_uniform_components(
-    gamma: ConstraintGraph, nv: int, ne: int, degree: int
-) -> None:
-    deg = [0] * gamma.num_vertices
-    for u, v in gamma.edges:
-        deg[u] += 1
-        deg[v] += 1
-    comps = gamma.components()
-    assert all(len(c) == nv for c in comps)
-    assert all(deg[v] == degree for v in range(gamma.num_vertices))
-    assert gamma.is_bipartite()
-    assert len(comps) * ne == gamma.num_edges
+    return _bipartite_blocks(k, g.num_vertices, minus_matching=False)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +378,6 @@ class LatticeProblem:
     log_psi: Callable[[np.ndarray], float] | None = None
     log_c_n: Callable[[int], float] | None = None
     hessian_at_xhat: object | None = None
-    name: str = ""
 
 
 def _finite_difference_hessian(phi, xhat: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -655,7 +600,6 @@ def build_ey_problem(g: BaseGraph, k: int) -> LatticeProblem:
         log_psi=log_psi,
         log_c_n=log_c_n,
         hessian_at_xhat=hess,
-        name=f"EY[{g.num_vertices}v {g.num_edges}e, k={k}]",
     )
 
 
@@ -709,5 +653,4 @@ def build_ey2_problem(g: BaseGraph, k: int) -> LatticeProblem:
         log_psi=log_psi,
         log_c_n=log_c_n,
         hessian_at_xhat=hess,
-        name=f"EY2[{g.num_vertices}v {g.num_edges}e, k={k}]",
     )

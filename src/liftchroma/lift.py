@@ -13,6 +13,7 @@ Lifted vertex ids are flattened as id = v * n + i.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -25,7 +26,7 @@ from .base_graph import BaseGraph, validate
 from .errors import TooLargeError
 
 DEFAULT_ENUMERATION_CAP = 10**7
-DEFAULT_MAX_CYCLE_LENGTH = 12
+MAX_CYCLE_LENGTH = 12
 
 
 @dataclass(frozen=True)
@@ -83,18 +84,30 @@ class LiftedGraph:
     edges: tuple[tuple[int, int], ...]
     base: BaseGraph | None = None
     n: int = 1
-    adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
-        for eid, (u, w) in enumerate(self.edges):
-            adj[u].append((w, eid))
-            adj[w].append((u, eid))
+        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
+        for u, w in self.edges:
+            adj[u].append(w)
+            adj[w].append(u)
         object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @functools.cached_property
+    def simple_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted distinct neighbours of each vertex, loops dropped: the
+        colouring solvers' view, in which parallel edges impose one
+        constraint.  Built on first use and kept, as the graph is immutable."""
+        adj = [set() for _ in range(self.num_vertices)]
+        for u, w in self.edges:
+            if u != w:
+                adj[u].add(w)
+                adj[w].add(u)
+        return tuple(tuple(sorted(a)) for a in adj)
 
     def degrees(self) -> list[int]:
         return [len(a) for a in self.adjacency]
@@ -169,16 +182,14 @@ def verify_covering(lg: LiftedGraph, g: BaseGraph) -> bool:
     for u in range(lg.num_vertices):
         v = u // n
         seen: dict[int, int] = {}
-        for w, _eid in lg.adjacency[u]:
+        for w in lg.adjacency[u]:
             seen[w // n] = seen.get(w // n, 0) + 1
         if seen != base_neighbors[v]:
             return False
     return True
 
 
-def count_cycles(
-    lg: LiftedGraph, j: int, max_length: int = DEFAULT_MAX_CYCLE_LENGTH
-) -> int:
+def count_cycles(lg: LiftedGraph, j: int) -> int:
     """Number of unrooted, unoriented cycles of length exactly j.
 
     A j-cycle is a set of j distinct edges forming a closed walk through j
@@ -188,22 +199,20 @@ def count_cycles(
     """
     if j < 2:
         raise ValueError(f"cycle length must be >= 2, got {j}")
-    if j > max_length:
-        raise ValueError(f"cycle length {j} exceeds configured max {max_length}")
-    return count_cycles_up_to(lg, j, max_length=max_length)[j]
+    return count_cycles_up_to(lg, j)[j]
 
 
-def count_cycles_up_to(
-    lg: LiftedGraph, jmax: int, max_length: int = DEFAULT_MAX_CYCLE_LENGTH
-) -> dict[int, int]:
-    """All cycle counts {j: Z_j} for 2 <= j <= jmax in one DFS sweep.
+def count_cycles_up_to(lg: LiftedGraph, jmax: int) -> dict[int, int]:
+    """All cycle counts {j: Z_j} for 2 <= j <= jmax <= MAX_CYCLE_LENGTH in
+    one DFS sweep.
 
     Each cycle is discovered from its minimum vertex id (only larger ids may
     appear inside a path) and in both directions, so closures are divided
-    by 2.  Edge ids distinguish parallel edges.
+    by 2.  Parallel edges are repeated neighbours, so each closes its own
+    cycle.
     """
-    if jmax > max_length:
-        raise ValueError(f"cycle length {jmax} exceeds configured max {max_length}")
+    if jmax > MAX_CYCLE_LENGTH:
+        raise ValueError(f"cycle length {jmax} exceeds max {MAX_CYCLE_LENGTH}")
     counts = {j: 0 for j in range(2, jmax + 1)}
     if jmax < 2:
         return counts
@@ -223,7 +232,7 @@ def count_cycles_up_to(
 
     def extend(anchor: int, vertex: int, length: int) -> None:
         # length = number of edges used so far to reach `vertex`.
-        for w, _eid in adjacency[vertex]:
+        for w in adjacency[vertex]:
             if w == anchor:
                 if length + 1 >= 3:
                     closures[length + 1] += 1
@@ -233,7 +242,7 @@ def count_cycles_up_to(
                 in_path[w] = False
 
     for anchor in range(lg.num_vertices):
-        for w, _eid in adjacency[anchor]:
+        for w in adjacency[anchor]:
             if w > anchor:
                 in_path[w] = True
                 extend(anchor, w, 1)

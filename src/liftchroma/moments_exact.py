@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
@@ -40,85 +39,6 @@ from .errors import TooLargeError
 from .lift import Lift, enumerate_lifts
 
 DEFAULT_PROFILE_CAP = 10**6
-
-
-@dataclass(frozen=True)
-class OverlapProfile:
-    """Colour frequencies per fiber (a) and per oriented edge fiber (b).
-
-    ``a[v][i]`` is the fraction of fiber v coloured i; ``b[e][(i, i2)]`` the
-    fraction of the n lifted edges over base edge e joining colour i in the
-    tail fiber to colour i2 != i in the head fiber.  All entries live in
-    (1/n) * Z.
-    """
-
-    n: int
-    a: tuple[tuple[Fraction, ...], ...]
-    b: tuple[dict, ...]
-
-    def validate(self, g: BaseGraph) -> None:
-        k = len(self.a[0])
-        for v, row in enumerate(self.a):
-            if sum(row) != 1:
-                raise ValueError(f"fiber {v} colour fractions must sum to 1")
-            for x in row:
-                if x < 0 or (x * self.n).denominator != 1:
-                    raise ValueError(f"fiber {v} has entry outside (1/n)Z: {x}")
-        for e, (tail, head) in enumerate(g.edges):
-            be = self.b[e]
-            for i in range(k):
-                row_sum = sum(be.get((i, i2), Fraction(0)) for i2 in range(k) if i2 != i)
-                if row_sum != self.a[tail][i]:
-                    raise ValueError(f"edge {e}: tail marginal mismatch at colour {i}")
-                col_sum = sum(be.get((i1, i), Fraction(0)) for i1 in range(k) if i1 != i)
-                if col_sum != self.a[head][i]:
-                    raise ValueError(f"edge {e}: head marginal mismatch at colour {i}")
-
-
-@dataclass(frozen=True)
-class PairOverlapProfile:
-    """Pair-colouring overlap: per-vertex k x k histograms A (all row and
-    column sums 1/k) and per-edge tables B indexed by (i, j, i2, j2) with
-    i != i2, j != j2, whose marginals reproduce A at both endpoints."""
-
-    n: int
-    A: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    B: tuple[dict, ...]
-
-    def validate(self, g: BaseGraph) -> None:
-        k = len(self.A[0])
-        target = Fraction(1, k)
-        for v, table in enumerate(self.A):
-            for i in range(k):
-                if sum(table[i]) != target:
-                    raise ValueError(f"vertex {v}: row {i} sum is not 1/k")
-            for j in range(k):
-                if sum(table[i][j] for i in range(k)) != target:
-                    raise ValueError(f"vertex {v}: column {j} sum is not 1/k")
-        for e, (tail, head) in enumerate(g.edges):
-            be = self.B[e]
-            for key, val in be.items():
-                i, j, i2, j2 = key
-                if i == i2 or j == j2:
-                    raise ValueError(f"edge {e}: improper support cell {key}")
-                if val < 0 or (val * self.n).denominator != 1:
-                    raise ValueError(f"edge {e}: entry outside (1/n)Z at {key}")
-            for i in range(k):
-                for j in range(k):
-                    tail_sum = sum(
-                        be.get((i, j, i2, j2), Fraction(0))
-                        for i2 in range(k)
-                        for j2 in range(k)
-                    )
-                    if tail_sum != self.A[tail][i][j]:
-                        raise ValueError(f"edge {e}: tail marginal mismatch at {(i, j)}")
-                    head_sum = sum(
-                        be.get((i2, j2, i, j), Fraction(0))
-                        for i2 in range(k)
-                        for j2 in range(k)
-                    )
-                    if head_sum != self.A[head][i][j]:
-                        raise ValueError(f"edge {e}: head marginal mismatch at {(i, j)}")
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -6,7 +6,6 @@ import pytest
 from conftest import cycle_lifted_graph
 from liftchroma.asymptotics import (
     B_spectrum_check,
-    LogValue,
     brute_force_walk_count,
     build_B,
     c1,
@@ -15,12 +14,9 @@ from liftchroma.asymptotics import (
     ey2_asym,
     ey_asym,
     expected_B_spectrum,
-    gamma_nk,
     h_dk,
     joint_moment_prediction,
-    joint_moment_prediction_multi,
     lambdas,
-    scaling_factor,
     sscm_constants,
     sscm_identity_check,
     variance_series_terms,
@@ -188,9 +184,6 @@ def test_joint_moment_predictions(k3, k4):
     assert joint_moment_prediction(k4, 3, 3) == pytest.approx(3.0)
     assert joint_moment_prediction(k3, 3, 3) == pytest.approx(0.75)
     assert joint_moment_prediction(k4, 3, 4) == pytest.approx(3 * (1 + 1 / 8))
-    assert joint_moment_prediction_multi(k4, 3, {3: 2, 4: 1}) == pytest.approx(
-        9 * 3.375
-    )
 
 
 def test_B_matrix(k3):
@@ -202,25 +195,6 @@ def test_B_matrix(k3):
     expected = expected_B_spectrum(3)
     assert sorted(expected, reverse=True)[:2] == [8, 6]
     assert len(expected) == 18
-
-
-def test_gamma_nk_positive():
-    assert gamma_nk(30, 3) > 0
-    assert gamma_nk(60, 4) > 0
-
-
-def test_scaling_factor(k3):
-    assert scaling_factor(k3, 3, 1) == pytest.approx(64.0, rel=1e-12)
-    assert scaling_factor(k3, 3, 2) == pytest.approx(4096.0, rel=1e-12)
-    assert scaling_factor(k3, 3, 0) == 1.0
-    with pytest.raises(ValueError):
-        scaling_factor(k3, 3, 3)
-
-
-def test_log_value_helpers():
-    v = LogValue.from_value(-12.5)
-    assert v.sign == -1
-    assert v.value() == pytest.approx(-12.5)
-    assert LogValue.from_value(0.0).sign == 0
-    a, b = LogValue.from_value(20.0), LogValue.from_value(5.0)
-    assert a.ratio_to(b) == pytest.approx(4.0)
+    for k in range(3, 7):
+        lam, lamp = lambdas(k)
+        assert lam * lamp == (k - 1) ** 4 - 1

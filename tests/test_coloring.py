@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 
 from conftest import (
@@ -11,7 +13,8 @@ from conftest import (
 from liftchroma.base_graph import connected_components, make_complete_graph
 from liftchroma.coloring import (
     EquitableSpec,
-    _simple_adjacency,
+    _Budget,
+    _dsatur_decide,
     chromatic_bounds,
     chromatic_number,
     count_proper_colorings,
@@ -139,6 +142,87 @@ def test_budget_exhaustion_signals_unknown(k5):
         is_k_colorable(lg, 3, budget=2)
 
 
+def _oracle_dsatur_decide(adj, vertices, k, budget) -> bool:
+    """The recursive DSATUR that the explicit-stack search replaced: one
+    Python frame per coloured vertex."""
+    index = {v: i for i, v in enumerate(vertices)}
+    local_adj = [[index[w] for w in adj[v] if w in index] for v in vertices]
+    m = len(vertices)
+    colors = [-1] * m
+    neighbor_colors = [set() for _ in range(m)]
+    degrees = [len(a) for a in local_adj]
+    heap = [(0, -degrees[v], v) for v in range(m)]
+    heapq.heapify(heap)
+    uncolored = m
+
+    def pick() -> int:
+        while heap:
+            neg_sat, _neg_deg, v = heap[0]
+            if colors[v] >= 0 or -neg_sat != len(neighbor_colors[v]):
+                heapq.heappop(heap)
+                continue
+            return v
+        return -1
+
+    def solve(used: int) -> bool:
+        nonlocal uncolored
+        budget.spend()
+        if uncolored == 0:
+            return True
+        v = pick()
+        limit = min(k, used + 1)
+        for c in range(limit):
+            if c in neighbor_colors[v]:
+                continue
+            colors[v] = c
+            uncolored -= 1
+            touched = []
+            dead_end = False
+            for w in local_adj[v]:
+                if colors[w] < 0 and c not in neighbor_colors[w]:
+                    neighbor_colors[w].add(c)
+                    touched.append(w)
+                    sat = len(neighbor_colors[w])
+                    heapq.heappush(heap, (-sat, -degrees[w], w))
+                    if sat >= k:
+                        dead_end = True
+            if not dead_end and solve(max(used, c + 1)):
+                return True
+            colors[v] = -1
+            uncolored += 1
+            for w in touched:
+                neighbor_colors[w].remove(c)
+                heapq.heappush(heap, (-len(neighbor_colors[w]), -degrees[w], w))
+        return False
+
+    return solve(0)
+
+
+def _dsatur_outcome(decide, adj, comp, k, limit):
+    budget = _Budget(limit)
+    try:
+        answer = decide(adj, comp, k, budget)
+    except BudgetExhaustedError:
+        answer = None
+    return answer, budget.left
+
+
+def test_dsatur_equals_recursive_oracle():
+    # same answer and the same nodes left in the budget, censored searches
+    # included, on every component of seeded K5 and K6 lifts for each k
+    # below the degree; n = 4 gives the exhausted (False) searches
+    outcomes = set()
+    for m, n, seeds in [(5, 100, range(6)), (6, 20, range(3)), (6, 4, range(6))]:
+        for seed in seeds:
+            adj = expand(sample_lift(make_complete_graph(m), n, seed)).simple_adjacency
+            for k in range(3, m - 1):
+                for comp, _ in connected_components(adj):
+                    want = _dsatur_outcome(_oracle_dsatur_decide, adj, comp, k, 20_000)
+                    assert _dsatur_outcome(_dsatur_decide, adj, comp, k, 20_000) == want
+                    outcomes.add(want[0])
+    assert outcomes == {True, False, None}
+
+
 def test_chromatic_bounds_bracket(k4):
     lg = expand(sample_lift(k4, 30, 1))
     lo, hi = chromatic_bounds(lg)
@@ -189,7 +273,7 @@ def _oracle_component_bipartite(adj, comp):
 @pytest.mark.parametrize("n", [2, 3, 40])
 def test_components_same_order_as_oracle(m, n):
     for seed in range(4):
-        adj = _simple_adjacency(expand(sample_lift(make_complete_graph(m), n, seed)))
+        adj = expand(sample_lift(make_complete_graph(m), n, seed)).simple_adjacency
         comps = connected_components(adj)
         assert [comp for comp, _ in comps] == _oracle_components(adj)
         assert [bipartite for _, bipartite in comps] == [
@@ -202,7 +286,7 @@ def test_bipartite_flags_match_oracle(k3, k4):
     for g in (k3, k4):
         for lift in enumerate_lifts(g, 2):
             lg = expand(lift)
-            adj = _simple_adjacency(lg)
+            adj = lg.simple_adjacency
             comps = connected_components(adj)
             want = [_oracle_component_bipartite(adj, comp) for comp in _oracle_components(adj)]
             assert [bipartite for _, bipartite in comps] == want

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liftchroma.asymptotics import joint_moment_prediction, log_rate, scaling_factor
+from liftchroma.asymptotics import joint_moment_prediction, log_rate
 from liftchroma.errors import TooLargeError
 from liftchroma.experiments import joint_ratio_estimate, mc_expectation
 from liftchroma.lattice_tools import windowed_sum
@@ -28,8 +28,6 @@ def test_quota_increment_ratio_approaches_rate(k3):
             float(expected_Y_exact_extended(k3, n + 1, 3) / expected_Y_exact(k3, n, 3))
         )
     assert abs(ratios[2] - rate) < abs(ratios[1] - rate) < abs(ratios[0] - rate)
-    # and the squared-count scaling factor is the square of the rate
-    assert scaling_factor(k3, 3, 1) == pytest.approx(rate**2, rel=1e-12)
 
 
 def test_f_AB_uniform_matches_F(k4):
@@ -105,37 +103,6 @@ def test_multigraph_triangle_multiplicity(doubled_triangle):
     assert count_cycles(base_as_lift, 3) == 8
     assert count_cycles(base_as_lift, 2) == 3
     assert Fraction(walk_count_cj(doubled_triangle, 3), 6) == 8
-
-
-def test_moment_constants_record(k4):
-    from liftchroma.asymptotics import c1, c2, h_dk, moment_constants
-
-    mc = moment_constants(k4, 3)
-    lam, lamp = mc.lambda_pair
-    assert lam * lamp == (3 - 1) ** 4 - 1
-    assert (mc.C1, mc.C2, mc.h) == (c1(k4, 3), c2(k4, 3), h_dk(k4, 3))
-    assert mc.C1 > 0 and mc.C2 > 0 and mc.h > 0
-
-
-def test_pair_overlap_profile_validation(k3):
-    from liftchroma.moments_exact import PairOverlapProfile
-
-    n, k = 9, 3
-    third = Fraction(1, 9)
-    a_table = tuple(tuple(third for _ in range(k)) for _ in range(k))
-    b_edge = {}
-    for i in range(k):
-        for j in range(k):
-            # route each (i, j) cell's mass to the diagonal-shifted cell
-            b_edge[(i, j, (i + 1) % k, (j + 1) % k)] = third
-    profile = PairOverlapProfile(n=n, A=(a_table,) * 3, B=(b_edge,) * 3)
-    profile.validate(k3)
-    bad = dict(b_edge)
-    bad[(0, 0, 1, 1)] = Fraction(0)
-    bad[(0, 0, 2, 1)] = third
-    del bad[(0, 0, 1, 1)]
-    with pytest.raises(ValueError):
-        PairOverlapProfile(n=n, A=(a_table,) * 3, B=(bad, b_edge, b_edge)).validate(k3)
 
 
 def test_rho_bounds_random():

@@ -19,7 +19,7 @@ from liftchroma.experiments import (
     run_campaign,
     sample_seed,
 )
-from liftchroma.lift import count_cycles, expand
+from liftchroma.lift import count_cycles, expand, sample_lift
 from liftchroma.moments_exact import brute_force_moment
 
 
@@ -31,13 +31,6 @@ def test_statistic_parsing(k3):
         make_statistic("Q7", 3)
     with pytest.raises(InvalidConfigError):
         make_statistic("X", None)  # needs k
-
-
-def test_exact_mode_reproduces_enumeration(k3):
-    rec = mc_expectation(k3, 2, 3, "X", samples=1, seed=0, exact=True)
-    assert rec.mean == 51.0
-    assert rec.samples == 8
-    assert rec.stderr == 0.0
 
 
 def test_mc_determinism(k3):
@@ -72,6 +65,11 @@ def test_joint_ratio_undefined(k3):
 def test_joint_ratio_sampled_runs(k4):
     value = joint_ratio_estimate(k4, 3, 3, 3, samples=200, seed=4)
     assert value > 0
+    # bit-identical to summing the Y and Y*Z3 statistics lift by lift
+    lifts = [sample_lift(k4, 3, sample_seed(4, 0, idx)) for idx in range(200)]
+    num = sum(make_statistic("Y*Z3", 3)(lift) for lift in lifts)
+    den = sum(make_statistic("Y", 3)(lift) for lift in lifts)
+    assert value == float(num / den)
 
 
 def test_campaign_requires_valid_config(tmp_path):
@@ -166,6 +164,13 @@ def test_campaign_budget_reaches_solver(tmp_path, monkeypatch):
     )
     with pytest.raises(BudgetExhaustedError):
         run_campaign(config)
+
+
+def test_chi_of_large_k5_lifts_is_censored_not_crashed(k5):
+    # 1500 vertices: the recursive DSATUR took one Python frame per coloured
+    # vertex and raised RecursionError here
+    rec = mc_expectation(k5, 300, None, "chi", samples=3, seed=1, budget=20_000)
+    assert (rec.mean, rec.censored) == (3.0, 1)
 
 
 def test_seed_expansion_is_stable():

@@ -8,7 +8,6 @@ from liftchroma.coloring import count_proper_colorings, count_strongly_equitable
 from liftchroma.errors import TooLargeError
 from liftchroma.lift import enumerate_lifts, expand
 from liftchroma.moments_exact import (
-    OverlapProfile,
     _doubly_stochastic_tables,
     brute_force_moment,
     compositions,
@@ -186,22 +185,6 @@ def test_proper_matching_count_small():
     assert proper_matching_count((2, 0, 0), (2, 0, 0)) == 0
     # complementary colours: unique block matching, 2! * 2! / ... = 4
     assert proper_matching_count((2, 0, 0), (0, 2, 0)) == math.factorial(2)
-
-
-def test_overlap_profile_validation(k3):
-    n = 2
-    a = ((Fraction(1, 2), Fraction(1, 2), Fraction(0)),) * 3
-    b_edge = {
-        (0, 1): Fraction(1, 2),
-        (1, 0): Fraction(1, 2),
-    }
-    profile = OverlapProfile(n=n, a=a, b=(b_edge, b_edge, b_edge))
-    profile.validate(k3)
-    bad = OverlapProfile(
-        n=n, a=a, b=(b_edge, b_edge, {(0, 1): Fraction(1, 2), (2, 0): Fraction(1, 2)})
-    )
-    with pytest.raises(ValueError):
-        bad.validate(k3)
 
 
 # ---------------------------------------------------------------------------
