@@ -238,8 +238,7 @@ def variance_series_terms(g: BaseGraph, k: int, J: int) -> list[float]:
     return terms
 
 
-def _series_tail_bound(g: BaseGraph, k: int, J: int) -> float:
-    d = g.degree
+def _series_tail_bound(g: BaseGraph, d: int, k: int, J: int) -> float:
     rho = (d - 1) / (k - 1) ** 2
     return (k - 1) ** 2 * g.num_edges * rho ** (J + 1) / ((J + 1) * (1 - rho))
 
@@ -265,7 +264,7 @@ def sscm_identity_check(
     lhs = log_c2(g, k) - 2 * log_c1(g, k)
     if J is None:
         J = 200
-        while _series_tail_bound(g, k, J) > tol:
+        while _series_tail_bound(g, d, k, J) > tol:
             J += 100
     terms = variance_series_terms(g, k, J)
     partial = math.fsum(terms)

@@ -9,7 +9,7 @@ vectors) refers to it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -17,31 +17,18 @@ import numpy as np
 
 from .errors import InvalidGraphError
 
-SPECTRUM_ATOL = 1e-9
-
 
 @dataclass(frozen=True)
 class BaseGraph:
-    """A loopless regular multigraph with an arbitrary but fixed orientation.
-
-    ``degree`` is cached from vertex 0's endpoint count; it is only
-    trustworthy after :func:`validate` has passed.
-    """
+    """A loopless regular multigraph with an arbitrary but fixed orientation;
+    :func:`validate` checks the invariants and returns the degree."""
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
-    degree: int = field(init=False)
 
     def __post_init__(self):
         edges = tuple((int(t), int(h)) for t, h in self.edges)
         object.__setattr__(self, "edges", edges)
-        counts = [0] * max(self.num_vertices, 1)
-        for t, h in edges:
-            if 0 <= t < self.num_vertices:
-                counts[t] += 1
-            if 0 <= h < self.num_vertices:
-                counts[h] += 1
-        object.__setattr__(self, "degree", counts[0] if self.num_vertices else 0)
 
     @property
     def num_edges(self) -> int:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import asymptotics, experiments, lattice_tools, stochastic_opt, thresholds
-from .base_graph import parse_graph_text, resolve_graph_arg
+from .base_graph import resolve_graph_arg
 from .coloring import chromatic_number, count_proper_colorings, count_strongly_equitable
 from .lift import Lift, expand, sample_lift
 from .moments_exact import expected_X_exact, expected_Y2_exact, expected_Y_exact
@@ -92,11 +92,20 @@ def _cmd_moments_exact(args) -> None:
     _emit({"which": which, "n": args.n, "k": args.k, "value": f"{val.numerator}/{val.denominator}"})
 
 
+def _exp_or_none(log_value: float) -> float | None:
+    """exp(log_value), or None (JSON null) when it overflows a float."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return None
+
+
 def _cmd_sscm(args) -> None:
     g = resolve_graph_arg(args.graph)
     k = args.k
     constants = asymptotics.sscm_constants(g, k, 10)
     check = asymptotics.sscm_identity_check(g, k)
+    logs = {"C1": asymptotics.log_c1(g, k), "C2": asymptotics.log_c2(g, k), "h": asymptotics.log_h_dk(g, k)}
     _emit(
         {
             "lambda": list(constants.lam),
@@ -105,9 +114,8 @@ def _cmd_sscm(args) -> None:
             "identity_gap": check.gap,
             "identity_J": check.J,
             "log_C2_over_C1sq": check.lhs,
-            "C1": asymptotics.c1(g, k),
-            "C2": asymptotics.c2(g, k),
-            "h": asymptotics.h_dk(g, k),
+            **{name: _exp_or_none(log) for name, log in logs.items()},
+            **{f"log_{name}": log for name, log in logs.items()},
         }
     )
 
@@ -145,8 +153,7 @@ def _cmd_opt_verify(args) -> None:
 
 
 def _cmd_tau(args) -> None:
-    with open(args.graph) as fh:
-        g = parse_graph_text(fh.read())
+    g = resolve_graph_arg(args.graph)
     gamma = lattice_tools.ConstraintGraph(num_vertices=g.num_vertices, edges=g.edges)
     _emit({"tau": lattice_tools.tau_maximal_forests(gamma)})
 

@@ -213,17 +213,23 @@ def is_k_colorable(lg: LiftedGraph, k: int, budget: int | None = None) -> bool:
     return True
 
 
-def chromatic_number(lg: LiftedGraph, budget: int | None = None) -> int:
-    """Smallest k admitting a proper k-colouring."""
+def _chromatic_floor(lg: LiftedGraph) -> int:
+    """Lower bound for the chromatic number: 0 with no vertices, 1 with no
+    edges, 2 if bipartite, otherwise max(3, greedy clique)."""
     if lg.num_vertices == 0:
         return 0
-    adj = lg.simple_adjacency
-    if all(len(a) == 0 for a in adj):
+    if all(len(a) == 0 for a in lg.simple_adjacency):
         return 1
     if is_bipartite(lg):
         return 2
-    lo = max(3, greedy_clique(lg))
-    k = lo
+    return max(3, greedy_clique(lg))
+
+
+def chromatic_number(lg: LiftedGraph, budget: int | None = None) -> int:
+    """Smallest k admitting a proper k-colouring."""
+    k = _chromatic_floor(lg)
+    if k <= 2:
+        return k
     while not is_k_colorable(lg, k, budget=budget):
         k += 1
     return k
@@ -239,14 +245,10 @@ def chromatic_bounds(
     from bipartiteness and a greedy clique; upper bound from greedy
     colouring, improved by exact decisions while they stay cheap.
     """
-    if lg.num_vertices == 0:
-        return (0, 0)
-    adj = lg.simple_adjacency
-    if all(len(a) == 0 for a in adj):
-        return (1, 1)
-    lo = 2 if is_bipartite(lg) else 3
-    lo = max(lo, greedy_clique(lg))
-    hi = _greedy_upper(adj)
+    lo = _chromatic_floor(lg)
+    if lo <= 1:
+        return (lo, lo)
+    hi = _greedy_upper(lg.simple_adjacency)
     while hi > lo:
         try:
             if is_k_colorable(lg, hi - 1, budget=refine_budget):
@@ -279,53 +281,36 @@ def _greedy_upper(adj: Sequence[Sequence[int]]) -> int:
     return used
 
 
-def _count_component(
-    adj: Sequence[Sequence[int]], vertices: list[int], k: int, budget: _Budget
+def _count_extensions(
+    adj: Sequence[Sequence[int]], order: list[int], colors: list[int], k: int,
+    fiber: Sequence[int], remaining: list[list[int]], budget: _Budget,
 ) -> int:
-    """Labelled proper k-colouring count of one connected component.
-
-    The first vertex is pinned to colour 0 and the result multiplied by k;
-    valid because unconstrained proper colourings are colour-symmetric.
-    """
-    index = {v: i for i, v in enumerate(vertices)}
-    local_adj = [[index[w] for w in adj[v] if w in index] for v in vertices]
-    m = len(vertices)
-
-    # BFS order: every vertex after the first has an earlier neighbour,
-    # keeping the search tree tight.
-    order = [0]
-    seen = [False] * m
-    seen[0] = True
-    qi = 0
-    while qi < len(order):
-        for w in local_adj[order[qi]]:
-            if not seen[w]:
-                seen[w] = True
-                order.append(w)
-        qi += 1
-    assert len(order) == m, "component must be connected"
-
-    colors = [-1] * m
+    """Number of proper extensions of the partial colouring ``colors`` to the
+    vertices of ``order``, coloured in that order, within the quotas:
+    ``remaining[fiber[v]][c]`` more vertices of v's fiber may take colour c.
+    Each search node costs one unit of ``budget``; ``colors`` and
+    ``remaining`` are restored on return."""
+    m = len(order)
 
     def count_from(pos: int) -> int:
         budget.spend()
         if pos == m:
             return 1
         v = order[pos]
+        rem = remaining[fiber[v]]
+        forbidden = {colors[w] for w in adj[v] if colors[w] >= 0}
         total = 0
-        forbidden = {colors[w] for w in local_adj[v] if colors[w] >= 0}
         for c in range(k):
-            if c in forbidden:
+            if rem[c] == 0 or c in forbidden:
                 continue
             colors[v] = c
+            rem[c] -= 1
             total += count_from(pos + 1)
+            rem[c] += 1
             colors[v] = -1
         return total
 
-    colors[order[0]] = 0
-    result = k * count_from(1)
-    colors[order[0]] = -1
-    return result
+    return count_from(0)
 
 
 def _check_count_size(lg: LiftedGraph) -> None:
@@ -336,7 +321,12 @@ def _check_count_size(lg: LiftedGraph) -> None:
 
 
 def count_proper_colorings(lg: LiftedGraph, k: int, budget: int | None = None) -> int:
-    """Exact number of labelled proper k-colourings (all of them)."""
+    """Exact number of labelled proper k-colourings (all of them).
+
+    Per component: the first vertex is pinned to colour 0 and the count
+    multiplied by k (proper colourings are colour-symmetric); the rest go
+    in BFS order.  The graph is one fiber whose quota, |V|, never binds.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     _check_count_size(lg)
@@ -344,12 +334,19 @@ def count_proper_colorings(lg: LiftedGraph, k: int, budget: int | None = None) -
         return 1 if lg.num_vertices == 0 else 0
     adj = lg.simple_adjacency
     b = _Budget(node_budget(budget))
+    colors = [-1] * lg.num_vertices
+    fiber = [0] * lg.num_vertices
+    remaining = [[lg.num_vertices] * k]
     total = 1
     for comp, _ in connected_components(adj):
         if len(comp) == 1:
             total *= k
         else:
-            total *= _count_component(adj, comp, k, b)
+            order = [comp[0]]
+            for u in order:  # BFS: the loop also visits what it appends
+                order += [w for w in adj[u] if w not in order]
+            colors[order[0]] = 0
+            total *= k * _count_extensions(adj, order[1:], colors, k, fiber, remaining, b)
         if total == 0:
             return 0
     return total
@@ -365,37 +362,12 @@ def count_strongly_equitable(lift: Lift, k: int, budget: int | None = None) -> i
         raise ValueError("k must be >= 1")
     lg = expand(lift)
     _check_count_size(lg)
-    spec = EquitableSpec(k=k, n=lift.n)
-    quotas = spec.quotas()
+    quotas = EquitableSpec(k=k, n=lift.n).quotas()
     adj = lg.simple_adjacency
-    n = lift.n
-    num_fibers = lift.base.num_vertices
-
-    # remaining[f][c]: how many vertices of fiber f may still take colour c.
-    remaining = [list(quotas) for _ in range(num_fibers)]
-    colors = [-1] * lg.num_vertices
-    b = _Budget(node_budget(budget))
-
+    n, vertices = lift.n, range(lg.num_vertices)
     # Fiber-major order prunes quota violations as early as possible.
-    order = sorted(range(lg.num_vertices), key=lambda u: (u // n, -len(adj[u])))
-
-    def count_from(pos: int) -> int:
-        b.spend()
-        if pos == lg.num_vertices:
-            return 1
-        v = order[pos]
-        fiber = v // n
-        rem = remaining[fiber]
-        forbidden = {colors[w] for w in adj[v] if colors[w] >= 0}
-        total = 0
-        for c in range(k):
-            if rem[c] == 0 or c in forbidden:
-                continue
-            colors[v] = c
-            rem[c] -= 1
-            total += count_from(pos + 1)
-            rem[c] += 1
-            colors[v] = -1
-        return total
-
-    return count_from(0)
+    order = sorted(vertices, key=lambda u: (u // n, -len(adj[u])))
+    remaining = [list(quotas) for _ in range(lift.base.num_vertices)]
+    fiber = [u // n for u in vertices]
+    b = _Budget(node_budget(budget))
+    return _count_extensions(adj, order, [-1] * len(vertices), k, fiber, remaining, b)

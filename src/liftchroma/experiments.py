@@ -46,17 +46,6 @@ from .lift import Lift, count_cycles_up_to, enumerate_lifts, expand, sample_lift
 _STAT_RE = re.compile(r"^(?:Z(\d+)|Y\*Z(\d+)|X|Y|chi)$")
 
 
-def _parse_statistic(name: str) -> tuple[str, int | None]:
-    m = _STAT_RE.match(name)
-    if not m:
-        raise InvalidConfigError(f"unknown statistic {name!r}")
-    if m.group(1):
-        return "Z", int(m.group(1))
-    if m.group(2):
-        return "YZ", int(m.group(2))
-    return name, None
-
-
 def make_statistic(
     name: str, k: int | None, budget: int | None = None
 ) -> Callable[[Lift], Fraction]:
@@ -65,7 +54,11 @@ def make_statistic(
     ``budget`` is the node budget of each exact solver call (chi, X, Y);
     None defers to LIFTCHROMA_BUDGET or the default (coloring.node_budget).
     """
-    kind, j = _parse_statistic(name)
+    m = _STAT_RE.match(name)
+    if not m:
+        raise InvalidConfigError(f"unknown statistic {name!r}")
+    j = int(m.group(1) or m.group(2) or 0)
+    kind = "Z" if m.group(1) else "YZ" if m.group(2) else name
     if kind in ("X", "Y", "YZ") and k is None:
         raise InvalidConfigError(f"statistic {name!r} needs k")
 
@@ -84,9 +77,7 @@ def make_statistic(
         return lambda lift: Fraction(
             strict_equitable(lift) * count_cycles_up_to(expand(lift), j)[j]
         )
-    if kind == "chi":
-        return lambda lift: Fraction(chromatic_number(expand(lift), budget=budget))
-    raise InvalidConfigError(f"unknown statistic {name!r}")
+    return lambda lift: Fraction(chromatic_number(expand(lift), budget=budget))  # chi
 
 
 @dataclass(frozen=True)
@@ -100,17 +91,15 @@ class EstimateRecord:
     censored: int
     seconds: float
 
+    def row(self, embed_timings: bool) -> dict:
+        """The record as written to the CSV and the JSONL: ``seconds`` is
+        rounded to milliseconds, or 0.0 unless timings are embedded."""
+        row = asdict(self)
+        row["seconds"] = round(self.seconds, 3) if embed_timings else 0.0
+        return row
+
     def csv_row(self, embed_timings: bool) -> list[str]:
-        return [
-            self.statistic,
-            str(self.n),
-            "" if self.k is None else str(self.k),
-            repr(self.mean),
-            repr(self.stderr),
-            str(self.samples),
-            str(self.censored),
-            repr(round(self.seconds, 3)) if embed_timings else "0.0",
-        ]
+        return ["" if v is None else str(v) for v in self.row(embed_timings).values()]
 
 
 def sample_seed(master_seed: int, cell_index: int, sample_index: int) -> np.random.SeedSequence:
@@ -218,9 +207,7 @@ class CampaignConfig:
         if not self.n_values:
             raise InvalidConfigError("need at least one fiber size n")
         for s in self.statistics:
-            kind, _ = _parse_statistic(s)
-            if kind in ("X", "Y", "YZ") and self.k is None:
-                raise InvalidConfigError(f"statistic {s!r} needs k")
+            make_statistic(s, self.k)
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -269,8 +256,8 @@ def run_campaign(config: CampaignConfig) -> list[EstimateRecord]:
 
     prefix = Path(config.output_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = prefix.with_suffix(".csv")
-    jsonl_path = prefix.with_suffix(".jsonl")
+    csv_path = Path(f"{prefix}.csv")
+    jsonl_path = Path(f"{prefix}.jsonl")
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -287,11 +274,8 @@ def run_campaign(config: CampaignConfig) -> list[EstimateRecord]:
         )
     ]
     for rec in records:
-        row = asdict(rec)
-        if not config.embed_timings:
-            row["seconds"] = 0.0
-        else:
-            row["seconds"] = round(row["seconds"], 3)
-        lines.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
+        lines.append(
+            json.dumps(rec.row(config.embed_timings), sort_keys=True, separators=(",", ":"))
+        )
     jsonl_path.write_text("\n".join(lines) + "\n")
     return records

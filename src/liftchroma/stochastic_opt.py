@@ -30,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import lambdas
 from .base_graph import BaseGraph, validate
 from .errors import DegenerateEdgeError, DomainError
 from .thresholds import c_q, ell_threshold
 
-ROW_SUM_TOL = 1e-12
 PROJECTION_TOL = 1e-10
 PROJECTION_MAX_ITERS = 10**3
 
@@ -134,10 +134,15 @@ def rect_gap(M, c: float):
             f"coefficient c = {c} is not below (k-1)/(q-1) c_q = "
             f"{rect_coefficient_bound(q, k)}"
         )
+    return math.log(k) + c * math.log((q - 1) * (k - 1)) - _rect_lhs(M, c)
+
+
+def _rect_lhs(M: np.ndarray, c: float):
+    """h(M)/q + c log(kq - k - q + (k/q) rho(M)), one value per q x k matrix."""
+    q, k = M.shape[-2:]
     h = -np.sum(xlogx(M), axis=(-2, -1))
     r = np.sum(M * M, axis=(-2, -1))
-    lhs = h / q + c * np.log(k * q - k - q + (k / q) * r)
-    return math.log(k) + c * math.log((q - 1) * (k - 1)) - lhs
+    return h / q + c * np.log(k * q - k - q + (k / q) * r)
 
 
 def rect_gap_second_form(M, c: float) -> float:
@@ -186,6 +191,18 @@ def f_ab(g: BaseGraph, a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
+def _edge_z(g: BaseGraph, a: np.ndarray, check: bool = True) -> list[float]:
+    """z_e = 1 - <a_v, a_v'> for every edge e = vv', in edge order; with
+    ``check``, a z_e <= 0 (f and b* undefined) raises DegenerateEdgeError."""
+    zs = []
+    for e, (tail, head) in enumerate(g.edges):
+        z = 1.0 - float(np.dot(a[tail], a[head]))
+        if check and z <= 0:
+            raise DegenerateEdgeError(f"edge {e}: fully correlated endpoint rows (z_e = {z})")
+        zs.append(z)
+    return zs
+
+
 def b_star(g: BaseGraph, a: np.ndarray) -> np.ndarray:
     """Per-edge maximiser of f in b for fixed a:
     b*_{e,i,i'} = a_{v,i} a_{v',i'} / z_e with z_e = 1 - <a_v, a_v'>."""
@@ -193,12 +210,7 @@ def b_star(g: BaseGraph, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     k = a.shape[1]
     out = np.zeros((g.num_edges, k, k))
-    for e, (tail, head) in enumerate(g.edges):
-        z = 1.0 - float(np.dot(a[tail], a[head]))
-        if z <= 0:
-            raise DegenerateEdgeError(
-                f"edge {e}: fully correlated endpoint rows (z_e = {z})"
-            )
+    for e, ((tail, head), z) in enumerate(zip(g.edges, _edge_z(g, a))):
         out[e] = np.outer(a[tail], a[head]) / z
         np.fill_diagonal(out[e], 0.0)
     return out
@@ -209,12 +221,19 @@ def f_at_b_star(g: BaseGraph, a: np.ndarray) -> float:
     validate(g)
     a = np.asarray(a, dtype=float)
     total = -float(np.sum(xlogx(a)))
-    for tail, head in g.edges:
-        z = 1.0 - float(np.dot(a[tail], a[head]))
-        if z <= 0:
-            raise DegenerateEdgeError("fully correlated endpoint rows")
+    for z in _edge_z(g, a):
         total += math.log(z)
     return total
+
+
+def _f_grad(g: BaseGraph, a: np.ndarray) -> np.ndarray:
+    """Gradient of f(a, b*(a)) in a; z_e is floored at 1e-300."""
+    grad = -(np.log(np.maximum(a, 1e-300)) + 1.0)
+    for (tail, head), z in zip(g.edges, _edge_z(g, a, check=False)):
+        z = max(z, 1e-300)
+        grad[tail] -= a[head] / z
+        grad[head] -= a[tail] / z
+    return grad
 
 
 def g_of_a(a: np.ndarray, d: int, k: int) -> float:
@@ -267,21 +286,39 @@ def F_A(g: BaseGraph, A: np.ndarray) -> float:
     d = validate(g)
     A = np.asarray(A, dtype=float)
     k = A.shape[1]
-    lam = (k - 1) ** 2 + 1
-    lamp = (k - 1) ** 2 - 1
+    lam, lamp = lambdas(k)
     scale = k * k * (k - 1) ** 2
-    total = (d - 1) * float(np.sum(xlogx(A)))
+    plus, minus = _pair_edge_terms(g, A)
     const = (2.0 / scale) * math.log(1.0 / scale)
-    acc = 0.0
-    for tail, head in g.edges:
-        plus = A[tail] + A[head] - 2.0 / (k * k)
-        minus = A[tail] - A[head]
-        acc += (
-            float(np.sum(plus * plus)) / (2 * lam)
-            + float(np.sum(minus * minus)) / (2 * lamp)
-            + const
-        )
-    return total - (scale / 2.0) * acc
+    terms = (
+        np.sum(plus * plus, axis=(1, 2)) / (2 * lam)
+        + np.sum(minus * minus, axis=(1, 2)) / (2 * lamp)
+        + const
+    )
+    acc = float(np.cumsum(terms)[-1])  # added edge by edge, in edge order
+    return (d - 1) * float(np.sum(xlogx(A))) - (scale / 2.0) * acc
+
+
+def _pair_edge_terms(g: BaseGraph, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a_v + a_v' - 2/k^2 and a_v - a_v' for the edges vv' of g in edge
+    order, as two (|E|, k, k) arrays."""
+    tails, heads = np.array(g.edges).T
+    k = A.shape[1]
+    return A[tails] + A[heads] - 2.0 / (k * k), A[tails] - A[heads]
+
+
+def _F_A_grad(g: BaseGraph, A: np.ndarray, d: int) -> np.ndarray:
+    """Gradient of F_A in A for a d-regular base g."""
+    k = A.shape[1]
+    lam, lamp = lambdas(k)
+    scale = k * k * (k - 1) ** 2
+    plus, minus = _pair_edge_terms(g, A)
+    grad = (d - 1) * (np.log(np.maximum(A, 1e-300)) + 1.0)
+    # Updates go in tail, head order edge by edge, as a per-edge loop would
+    # apply them: a vertex's updates are floats, so their order matters.
+    steps = (scale / 2.0) * np.stack([plus / lam + minus / lamp, plus / lam - minus / lamp], axis=1)
+    np.subtract.at(grad, np.ravel(g.edges), steps.reshape(-1, k, k))
+    return grad
 
 
 def uniform_pair_profile(g: BaseGraph, k: int) -> np.ndarray:
@@ -296,13 +333,13 @@ def uniform_profile(g: BaseGraph, k: int) -> np.ndarray:
 # Multi-start ascent
 
 
-def project_rows_to_simplex(M: np.ndarray, total: float = 1.0) -> np.ndarray:
-    """Euclidean projection of each row onto {x >= 0, sum x = total}."""
+def project_rows_to_simplex(M: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row onto the simplex {x >= 0, sum x = 1}."""
     M = np.asarray(M, dtype=float)
     out = np.empty_like(M)
     for i, row in enumerate(M):
         u = np.sort(row)[::-1]
-        css = np.cumsum(u) - total
+        css = np.cumsum(u) - 1.0
         idx = np.arange(1, len(row) + 1)
         cond = u - css / idx > 0
         r = idx[cond][-1]
@@ -423,15 +460,9 @@ def verify_max_uniform(
                 return -math.inf  # boundary point; reject in line search
 
         def grad_fn(a):
-            grad = -(np.log(np.maximum(a, 1e-300)) + 1.0)
-            for tail, head in g.edges:
-                z = max(1.0 - float(np.dot(a[tail], a[head])), 1e-300)
-                grad[tail] -= a[head] / z
-                grad[head] -= a[tail] / z
-            return grad
+            return _f_grad(g, a)
 
-        def project_fn(a):
-            return project_rows_to_simplex(a, 1.0)
+        project_fn = project_rows_to_simplex
 
         def sample():
             return rng.dirichlet(np.ones(k), size=g.num_vertices)
@@ -445,21 +476,12 @@ def verify_max_uniform(
         if not d < ell_threshold(k):
             raise DomainError("objective 'F' needs d < ell_k")
         uniform = uniform_pair_profile(g, k)
-        lam = (k - 1) ** 2 + 1
-        lamp = (k - 1) ** 2 - 1
-        scale = k * k * (k - 1) ** 2
 
         def value_fn(A):
             return F_A(g, A)
 
         def grad_fn(A):
-            grad = (d - 1) * (np.log(np.maximum(A, 1e-300)) + 1.0)
-            for tail, head in g.edges:
-                plus = A[tail] + A[head] - 2.0 / (k * k)
-                minus = A[tail] - A[head]
-                grad[tail] -= (scale / 2.0) * (plus / lam + minus / lamp)
-                grad[head] -= (scale / 2.0) * (plus / lam - minus / lamp)
-            return grad
+            return _F_A_grad(g, A, d)
 
         def project_fn(A):
             return project_transportation(A, 1.0 / k)
@@ -478,9 +500,7 @@ def verify_max_uniform(
         uniform = np.full((q, k), 1.0 / k)
 
         def value_fn(M):
-            return entropy_h(M) / q + c * math.log(
-                k * q - k - q + (k / q) * rho(M)
-            )
+            return float(_rect_lhs(M, c))
 
         def grad_fn(M):
             denom = k * q - k - q + (k / q) * rho(M)
@@ -488,8 +508,7 @@ def verify_max_uniform(
                 2.0 * c * k / (q * denom)
             ) * M
 
-        def project_fn(M):
-            return project_rows_to_simplex(M, 1.0)
+        project_fn = project_rows_to_simplex
 
         def sample():
             return rng.dirichlet(np.ones(k), size=q)

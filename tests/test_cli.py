@@ -1,7 +1,10 @@
 import json
+import math
 
 import pytest
 
+from liftchroma import asymptotics
+from liftchroma.base_graph import make_complete_graph
 from liftchroma.cli import main
 
 
@@ -139,3 +142,33 @@ def test_campaign_cli_config_file(capsys, tmp_path):
     cfg_path.write_text(json.dumps(config))
     out = json.loads(run_cli(capsys, "campaign", "--config", str(cfg_path)))
     assert out["cells"] == 1
+
+
+def test_campaign_dotted_prefix_lands_where_reported(capsys, tmp_path):
+    prefix = tmp_path / "out" / "run.v1"
+    out = json.loads(
+        run_cli(
+            capsys, "campaign", "--graph", "K3", "--n", "2", "--statistics", "Z3",
+            "--samples", "4", "--seed", "1", "--out", str(prefix),
+        )
+    )
+    assert out["csv"] == str(prefix) + ".csv"
+    assert out["jsonl"] == str(prefix) + ".jsonl"
+    assert sorted(p.name for p in prefix.parent.iterdir()) == ["run.v1.csv", "run.v1.jsonl"]
+
+
+def test_tau_cli_complete_graph_shorthand(capsys):
+    # Cayley: K4 has 4^2 spanning trees
+    assert json.loads(run_cli(capsys, "tau", "--graph", "K4"))["tau"] == 16
+
+
+def test_sscm_cli_reports_logs_past_float_range(capsys):
+    out = json.loads(run_cli(capsys, "sscm", "--graph", "K30", "--k", "10"))
+    g = make_complete_graph(30)
+    assert out["log_C2"] == asymptotics.log_c2(g, 10) > 709.8  # above log(float max)
+    assert out["C2"] is None
+    assert out["log_C1"] == asymptotics.log_c1(g, 10)
+    assert out["C1"] == math.exp(out["log_C1"])
+    assert out["log_h"] == asymptotics.log_h_dk(g, 10)
+    k4 = json.loads(run_cli(capsys, "sscm", "--graph", "K4", "--k", "3"))
+    assert k4["C1"] == math.exp(k4["log_C1"]) == pytest.approx(4096.0)

@@ -10,6 +10,7 @@ from conftest import (
     identity_lift,
     six_cycle_lift,
 )
+from liftchroma import coloring
 from liftchroma.base_graph import connected_components, make_complete_graph
 from liftchroma.coloring import (
     EquitableSpec,
@@ -293,3 +294,130 @@ def test_bipartite_flags_match_oracle(k3, k4):
             assert is_bipartite(lg) == all(want)
             flags.add(is_bipartite(lg))
     assert flags == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the shared colouring counter: the two recursive counters it
+# replaced
+
+
+def _oracle_count_component(adj, vertices, k, budget) -> int:
+    index = {v: i for i, v in enumerate(vertices)}
+    local_adj = [[index[w] for w in adj[v] if w in index] for v in vertices]
+    m = len(vertices)
+    order = [0]
+    seen = [False] * m
+    seen[0] = True
+    qi = 0
+    while qi < len(order):
+        for w in local_adj[order[qi]]:
+            if not seen[w]:
+                seen[w] = True
+                order.append(w)
+        qi += 1
+    colors = [-1] * m
+
+    def count_from(pos: int) -> int:
+        budget.spend()
+        if pos == m:
+            return 1
+        v = order[pos]
+        total = 0
+        forbidden = {colors[w] for w in local_adj[v] if colors[w] >= 0}
+        for c in range(k):
+            if c in forbidden:
+                continue
+            colors[v] = c
+            total += count_from(pos + 1)
+            colors[v] = -1
+        return total
+
+    colors[order[0]] = 0
+    return k * count_from(1)
+
+
+def _oracle_count_proper(lg, k, budget) -> int:
+    adj = lg.simple_adjacency
+    total = 1
+    for comp, _ in connected_components(adj):
+        if len(comp) == 1:
+            total *= k
+        else:
+            total *= _oracle_count_component(adj, comp, k, budget)
+        if total == 0:
+            return 0
+    return total
+
+
+def _oracle_count_equitable(lift, k, budget) -> int:
+    lg = expand(lift)
+    quotas = EquitableSpec(k=k, n=lift.n).quotas()
+    adj = lg.simple_adjacency
+    n = lift.n
+    remaining = [list(quotas) for _ in range(lift.base.num_vertices)]
+    colors = [-1] * lg.num_vertices
+    order = sorted(range(lg.num_vertices), key=lambda u: (u // n, -len(adj[u])))
+
+    def count_from(pos: int) -> int:
+        budget.spend()
+        if pos == lg.num_vertices:
+            return 1
+        v = order[pos]
+        rem = remaining[v // n]
+        forbidden = {colors[w] for w in adj[v] if colors[w] >= 0}
+        total = 0
+        for c in range(k):
+            if rem[c] == 0 or c in forbidden:
+                continue
+            colors[v] = c
+            rem[c] -= 1
+            total += count_from(pos + 1)
+            rem[c] += 1
+            colors[v] = -1
+        return total
+
+    return count_from(0)
+
+
+def _count_outcome(monkeypatch, count, limit):
+    """(value, or None if censored; nodes left) of one counting search.
+    ``count`` takes the node limit; the budget it builds is recorded."""
+    budgets = []
+
+    class RecordingBudget(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(coloring, "_Budget", RecordingBudget)
+    try:
+        value = count(limit)
+    except BudgetExhaustedError:
+        value = None
+    return value, budgets[-1].left
+
+
+def test_shared_counter_equals_both_oracles(k3, k4, monkeypatch):
+    # Equal values and equal nodes left under a 400-node cap mean equal
+    # censoring at every budget up to 400, and equal counts where uncensored.
+    lifts = [*enumerate_lifts(k3, 2), *enumerate_lifts(k3, 3), *enumerate_lifts(k4, 2)]
+    lifts += [sample_lift(k4, 3, seed) for seed in range(30)]
+    censored = set()
+    for lift in lifts:
+        lg = expand(lift)
+        for k in (2, 3, 4):
+            pairs = [
+                (
+                    lambda limit: count_proper_colorings(lg, k, budget=limit),
+                    lambda limit: _oracle_count_proper(lg, k, coloring._Budget(limit)),
+                ),
+                (
+                    lambda limit: count_strongly_equitable(lift, k, budget=limit),
+                    lambda limit: _oracle_count_equitable(lift, k, coloring._Budget(limit)),
+                ),
+            ]
+            for public, oracle in pairs:
+                want = _count_outcome(monkeypatch, oracle, 400)
+                assert _count_outcome(monkeypatch, public, 400) == want
+                censored.add(want[0] is None)
+    assert censored == {True, False}

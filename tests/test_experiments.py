@@ -212,3 +212,12 @@ def test_campaign_embed_timings(tmp_path):
     assert records[0].seconds > 0
     body = (tmp_path / "timed.csv").read_text().splitlines()[1]
     assert not body.endswith(",0.0")
+
+
+def test_campaign_dotted_prefix_writes_exact_paths(tmp_path):
+    cfg = CampaignConfig(
+        graph="K3", n_values=[2], k=None, statistics=["Z3"], samples=4, seed=1,
+        output_prefix=str(tmp_path / "run.v1"),
+    )
+    run_campaign(cfg)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v1.csv", "run.v1.jsonl"]

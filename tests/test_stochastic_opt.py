@@ -5,6 +5,7 @@ import pytest
 
 from liftchroma import stochastic_opt
 from liftchroma.asymptotics import log_rate
+from liftchroma.base_graph import validate
 from liftchroma.errors import DegenerateEdgeError, DomainError
 from liftchroma.stochastic_opt import (
     PROJECTION_MAX_ITERS,
@@ -26,6 +27,7 @@ from liftchroma.stochastic_opt import (
     uniform_pair_profile,
     uniform_profile,
     verify_max_uniform,
+    xlogx,
 )
 from liftchroma.thresholds import c_q
 
@@ -320,3 +322,96 @@ def test_gaps_on_stacks_equal_single_matrices():
         rect_gap(rng.dirichlet(np.ones(3), size=(4, 2)), 0.1)  # q < 3
     with pytest.raises(DomainError):
         square_gap(sq, c_q(4))
+
+
+# ---------------------------------------------------------------------------
+# Per-edge oracles for F_A and the ascent gradients, which now share their
+# per-edge terms
+
+
+def _oracle_F_A(g, A):
+    """The per-edge F_A loop, with lambda and lambda' written out."""
+    d = validate(g)
+    k = A.shape[1]
+    lam = (k - 1) ** 2 + 1
+    lamp = (k - 1) ** 2 - 1
+    scale = k * k * (k - 1) ** 2
+    total = (d - 1) * float(np.sum(xlogx(A)))
+    const = (2.0 / scale) * math.log(1.0 / scale)
+    acc = 0.0
+    for tail, head in g.edges:
+        plus = A[tail] + A[head] - 2.0 / (k * k)
+        minus = A[tail] - A[head]
+        acc += (
+            float(np.sum(plus * plus)) / (2 * lam)
+            + float(np.sum(minus * minus)) / (2 * lamp)
+            + const
+        )
+    return total - (scale / 2.0) * acc
+
+
+def _oracle_F_grad(g, A, d):
+    k = A.shape[1]
+    lam = (k - 1) ** 2 + 1
+    lamp = (k - 1) ** 2 - 1
+    scale = k * k * (k - 1) ** 2
+    grad = (d - 1) * (np.log(np.maximum(A, 1e-300)) + 1.0)
+    for tail, head in g.edges:
+        plus = A[tail] + A[head] - 2.0 / (k * k)
+        minus = A[tail] - A[head]
+        grad[tail] -= (scale / 2.0) * (plus / lam + minus / lamp)
+        grad[head] -= (scale / 2.0) * (plus / lam - minus / lamp)
+    return grad
+
+
+def _oracle_f_grad(g, a):
+    grad = -(np.log(np.maximum(a, 1e-300)) + 1.0)
+    for tail, head in g.edges:
+        z = max(1.0 - float(np.dot(a[tail], a[head])), 1e-300)
+        grad[tail] -= a[head] / z
+        grad[head] -= a[tail] / z
+    return grad
+
+
+@pytest.mark.parametrize(
+    "graph, k", [("k4", 3), ("k4", 4), ("k5", 4), ("petersen", 4), ("doubled_triangle", 3)]
+)
+def test_F_A_and_gradients_equal_per_edge_loops(graph, k, request):
+    g = request.getfixturevalue(graph)
+    d = validate(g)
+    rng = np.random.default_rng(31)
+    profiles = project_transportation(rng.gamma(0.5, size=(300, g.num_vertices, k, k)), 1 / k)
+    profiles[0, 0, 0] = 0.0  # a zero entry takes the log floor
+    for A in profiles:
+        assert F_A(g, A) == _oracle_F_A(g, A)
+        assert np.array_equal(stochastic_opt._F_A_grad(g, A, d), _oracle_F_grad(g, A, d))
+    rows = rng.dirichlet(np.full(k, 0.5), size=(300, g.num_vertices))
+    rows[0, :2] = np.eye(k)[0]  # a fully correlated edge takes the z floor
+    for a in rows:
+        assert np.array_equal(stochastic_opt._f_grad(g, a), _oracle_f_grad(g, a))
+
+
+def test_F_and_f_ascents_equal_per_edge_loops(k4, doubled_triangle, monkeypatch):
+    # every trial's end point and value, not only the best one
+    runs = []
+    ascend = stochastic_opt._ascend
+
+    def recording_ascend(*args, **kwargs):
+        x, val = ascend(*args, **kwargs)
+        runs[-1].append((x, val))
+        return x, val
+
+    monkeypatch.setattr(stochastic_opt, "_ascend", recording_ascend)
+    for oracle in (False, True):
+        if oracle:
+            monkeypatch.setattr(stochastic_opt, "F_A", _oracle_F_A)
+            monkeypatch.setattr(stochastic_opt, "_F_A_grad", _oracle_F_grad)
+            monkeypatch.setattr(stochastic_opt, "_f_grad", _oracle_f_grad)
+        runs.append([])
+        verify_max_uniform("F", g=k4, k=3, trials=5, seed=314)
+        verify_max_uniform("F", g=doubled_triangle, k=4, trials=3, seed=1)
+        verify_max_uniform("f", g=k4, k=3, trials=5, seed=2)
+    assert len(runs[0]) == len(runs[1]) == 13
+    for (x, val), (x_old, val_old) in zip(*runs):
+        assert val == val_old
+        assert np.array_equal(x, x_old)
