@@ -3,12 +3,10 @@ concentration thresholds, and the numeric machinery to verify them."""
 
 from .base_graph import (
     BaseGraph,
-    SpectralSummary,
     adjacency_spectrum,
     make_complete_graph,
     make_cycle_graph,
     make_petersen_graph,
-    validate,
 )
 from .coloring import (
     EquitableSpec,
@@ -32,12 +30,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseGraph",
-    "SpectralSummary",
     "adjacency_spectrum",
     "make_complete_graph",
     "make_cycle_graph",
     "make_petersen_graph",
-    "validate",
     "EquitableSpec",
     "chromatic_number",
     "count_proper_colorings",

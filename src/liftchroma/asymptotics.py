@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base_graph import BaseGraph, adjacency_spectrum, validate
+from .base_graph import BaseGraph, adjacency_spectrum
 from .errors import DivergentSeriesError, DomainError
 
 
@@ -71,11 +71,10 @@ def walk_count_cj(g: BaseGraph, j: int) -> int:
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    d = validate(g)
     a = g.adjacency_matrix().astype(object)
     prev, cur = 2 * np.identity(g.num_vertices, dtype=object), a
     for _ in range(j - 1):
-        prev, cur = cur, a @ cur - (d - 1) * prev
+        prev, cur = cur, a @ cur - (g.degree - 1) * prev
     return (g.num_edges - g.num_vertices) * (1 + (-1) ** j) + int(np.trace(cur))
 
 
@@ -86,7 +85,6 @@ def brute_force_walk_count(g: BaseGraph, j: int) -> int:
     e_1..e_j counts when consecutive steps (including e_j -> e_1) follow
     head-to-tail and never use the reverse of the previous edge.
     """
-    validate(g)
     if j < 1:
         raise ValueError("j must be >= 1")
     heads = []
@@ -119,23 +117,19 @@ def sscm_constants(g: BaseGraph, k: int, J: int) -> SscmConstants:
     """lambda_j = c_j/(2j) and delta_j = (-1)^j/(k-1)^{j-1} for j = 1..J."""
     if J < 3:
         raise ValueError("J must be >= 3")
-    d = validate(g)
     lam = tuple(walk_count_cj(g, j) / (2 * j) for j in range(1, J + 1))
     delta = tuple((-1) ** j / (k - 1) ** (j - 1) for j in range(1, J + 1))
     return SscmConstants(
         lam=lam,
         delta=delta,
         J=J,
-        convergence_ratio=math.sqrt(d - 1) / (k - 1) ** 2,
+        convergence_ratio=math.sqrt(g.degree - 1) / (k - 1) ** 2,
     )
 
 
 def log_c1(g: BaseGraph, k: int) -> float:
-    d = validate(g)
     if k < 3:
         raise ValueError("k must be >= 3")
-    if d < 2:
-        raise ValueError("d must be >= 2")
     nv, ne = g.num_vertices, g.num_edges
     return (k * nv / 2) * math.log(k) + ((k - 1) * ne / 2) * math.log(
         (k - 1) ** 2 / (k * (k - 2))
@@ -148,14 +142,12 @@ def c1(g: BaseGraph, k: int) -> float:
 
 
 def log_h_dk(g: BaseGraph, k: int) -> float:
-    d = validate(g)
     if k < 3:
         raise ValueError("k must be >= 3")
     lam, lamp = lambdas(k)
-    spec = adjacency_spectrum(g)
     out = g.num_vertices * math.log(k**2 / (lam * lamp))
-    for alpha in spec.eigenvalues:
-        factor = lam * lamp + d - alpha * (k - 1) ** 2
+    for alpha in adjacency_spectrum(g):
+        factor = lam * lamp + g.degree - alpha * (k - 1) ** 2
         if factor <= 0:
             raise DomainError(
                 f"nonpositive factor lam*lam' + d - alpha (k-1)^2 = {factor}"
@@ -170,7 +162,6 @@ def h_dk(g: BaseGraph, k: int) -> float:
 
 
 def log_c2(g: BaseGraph, k: int) -> float:
-    validate(g)
     if k < 3:
         raise ValueError("k must be >= 3")
     lam, lamp = lambdas(k)
@@ -210,14 +201,13 @@ def variance_series_terms(g: BaseGraph, k: int, J: int) -> list[float]:
     Works with u_j = s_j/(k-1)^{2j} so that no intermediate grows like
     (d-1)^j; requires d - 1 < (k-1)^2 for the series to converge.
     """
-    d = validate(g)
+    d = g.degree
     if d - 1 >= (k - 1) ** 2:
         raise DivergentSeriesError(
             f"series diverges: d-1 = {d - 1} >= (k-1)^2 = {(k - 1) ** 2}"
         )
-    spec = adjacency_spectrum(g)
     w = (k - 1) ** 2
-    ev = list(spec.eigenvalues)
+    ev = adjacency_spectrum(g)
     u_prev2 = [2.0 for _ in ev]  # u_0 = s_0 / w^0
     u_prev1 = [alpha / w for alpha in ev]  # u_1
     edge_excess = g.num_edges - g.num_vertices
@@ -238,8 +228,8 @@ def variance_series_terms(g: BaseGraph, k: int, J: int) -> list[float]:
     return terms
 
 
-def _series_tail_bound(g: BaseGraph, d: int, k: int, J: int) -> float:
-    rho = (d - 1) / (k - 1) ** 2
+def _series_tail_bound(g: BaseGraph, k: int, J: int) -> float:
+    rho = (g.degree - 1) / (k - 1) ** 2
     return (k - 1) ** 2 * g.num_edges * rho ** (J + 1) / ((J + 1) * (1 - rho))
 
 
@@ -256,7 +246,7 @@ def sscm_identity_check(
 
     in log-space, for an independent cross-check.
     """
-    d = validate(g)
+    d = g.degree
     if d - 1 >= (k - 1) ** 2:
         raise DivergentSeriesError(
             f"series diverges: d-1 = {d - 1} >= (k-1)^2 = {(k - 1) ** 2}"
@@ -264,15 +254,14 @@ def sscm_identity_check(
     lhs = log_c2(g, k) - 2 * log_c1(g, k)
     if J is None:
         J = 200
-        while _series_tail_bound(g, d, k, J) > tol:
+        while _series_tail_bound(g, k, J) > tol:
             J += 100
     terms = variance_series_terms(g, k, J)
     partial = math.fsum(terms)
 
     lam, lamp = lambdas(k)
-    spec = adjacency_spectrum(g)
     log_prod = math.fsum(
-        math.log(lam * lamp + d - alpha * (k - 1) ** 2) for alpha in spec.eigenvalues
+        math.log(lam * lamp + d - alpha * (k - 1) ** 2) for alpha in adjacency_spectrum(g)
     )
     closed = ((k - 1) ** 2 / 2) * (
         4 * g.num_edges * math.log(k - 1)
@@ -312,7 +301,7 @@ def ey2_asym(g: BaseGraph, n: int, k: int) -> LogValue:
     """Asymptotic E[Y^2]: C2 (2 pi n)^{-(k-1)|V|} (k^{|V|}((k-1)/k)^{|E|})^{2n}."""
     from .thresholds import ell_threshold
 
-    d = validate(g)
+    d = g.degree
     if n % k != 0:
         raise ValueError(f"strong equitability needs k | n; got n={n}, k={k}")
     if not d < ell_threshold(k):

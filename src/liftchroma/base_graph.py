@@ -9,7 +9,7 @@ vectors) refers to it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -20,15 +20,40 @@ from .errors import InvalidGraphError
 
 @dataclass(frozen=True)
 class BaseGraph:
-    """A loopless regular multigraph with an arbitrary but fixed orientation;
-    :func:`validate` checks the invariants and returns the degree."""
+    """A loopless regular multigraph with an arbitrary but fixed orientation.
+
+    The invariants are checked once, here: construction raises
+    InvalidGraphError naming the violated one (fewer than 2 vertices, an
+    endpoint out of range, a loop, irregular degrees, or d < 2), so every
+    BaseGraph in existence is valid and carries its degree d as ``degree``.
+    """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
+    degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         edges = tuple((int(t), int(h)) for t, h in self.edges)
         object.__setattr__(self, "edges", edges)
+        if self.num_vertices < 2:
+            raise InvalidGraphError(f"too few vertices: {self.num_vertices} < 2")
+        counts = [0] * self.num_vertices
+        for t, h in edges:
+            if not (0 <= t < self.num_vertices and 0 <= h < self.num_vertices):
+                raise InvalidGraphError(f"edge ({t}, {h}) has endpoint out of range")
+            if t == h:
+                raise InvalidGraphError(f"loop found at vertex {t}")
+            counts[t] += 1
+            counts[h] += 1
+        d = counts[0]
+        for v, c in enumerate(counts):
+            if c != d:
+                raise InvalidGraphError(
+                    f"degree mismatch: vertex {v} has degree {c}, vertex 0 has {d}"
+                )
+        if d < 2:
+            raise InvalidGraphError(f"degree {d} < 2")
+        object.__setattr__(self, "degree", d)
 
     @property
     def num_edges(self) -> int:
@@ -53,14 +78,6 @@ class BaseGraph:
         return out
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Adjacency eigenvalues sorted descending, with the regular degree."""
-
-    eigenvalues: tuple[float, ...]
-    degree: int
-
-
 def make_complete_graph(m: int) -> BaseGraph:
     """K_m with its m(m-1)/2 edges oriented lexicographically; degree m-1."""
     if m < 3:
@@ -82,33 +99,6 @@ def make_petersen_graph() -> BaseGraph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return BaseGraph(num_vertices=10, edges=tuple(outer + spokes + inner))
-
-
-def validate(g: BaseGraph) -> int:
-    """Check all BaseGraph invariants and return the degree d.
-
-    Raises InvalidGraphError naming the violated invariant: loops, vertex
-    indices out of range, irregular degrees, d < 2, or fewer than 2 vertices.
-    """
-    if g.num_vertices < 2:
-        raise InvalidGraphError(f"too few vertices: {g.num_vertices} < 2")
-    counts = [0] * g.num_vertices
-    for t, h in g.edges:
-        if not (0 <= t < g.num_vertices and 0 <= h < g.num_vertices):
-            raise InvalidGraphError(f"edge ({t}, {h}) has endpoint out of range")
-        if t == h:
-            raise InvalidGraphError(f"loop found at vertex {t}")
-        counts[t] += 1
-        counts[h] += 1
-    d = counts[0]
-    for v, c in enumerate(counts):
-        if c != d:
-            raise InvalidGraphError(
-                f"degree mismatch: vertex {v} has degree {c}, vertex 0 has {d}"
-            )
-    if d < 2:
-        raise InvalidGraphError(f"degree {d} < 2")
-    return d
 
 
 def connected_components(adj: Sequence[Sequence[int]]) -> list[tuple[list[int], bool]]:
@@ -140,17 +130,16 @@ def connected_components(adj: Sequence[Sequence[int]]) -> list[tuple[list[int], 
     return out
 
 
-def adjacency_spectrum(g: BaseGraph) -> SpectralSummary:
+def adjacency_spectrum(g: BaseGraph) -> tuple[float, ...]:
     """Eigenvalues of the adjacency matrix, sorted descending.
 
     Dense symmetric solve; base graphs are small (tens of vertices).
     """
-    d = validate(g)
     eig = np.linalg.eigvalsh(g.adjacency_matrix().astype(float))
     eig_desc = tuple(float(x) for x in eig[::-1])
-    assert abs(eig_desc[0] - d) < 1e-8, "top eigenvalue must equal the degree"
+    assert abs(eig_desc[0] - g.degree) < 1e-8, "top eigenvalue must equal the degree"
     assert abs(sum(eig_desc)) < 1e-8, "loopless trace forces eigenvalue sum 0"
-    return SpectralSummary(eigenvalues=eig_desc, degree=d)
+    return eig_desc
 
 
 def format_graph_text(g: BaseGraph) -> str:
@@ -160,7 +149,8 @@ def format_graph_text(g: BaseGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph_text(text: str) -> BaseGraph:
+def parse_edge_list(text: str) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The vertex count and edges written in the text format, unchecked."""
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("graph text needs a 'V E' header line")
@@ -168,19 +158,29 @@ def parse_graph_text(text: str) -> BaseGraph:
     body = tokens[2:]
     if len(body) != 2 * ne:
         raise ValueError(f"expected {2 * ne} endpoint tokens, got {len(body)}")
-    edges = tuple((int(body[2 * i]), int(body[2 * i + 1])) for i in range(ne))
-    return BaseGraph(num_vertices=nv, edges=edges)
+    return nv, tuple((int(body[2 * i]), int(body[2 * i + 1])) for i in range(ne))
+
+
+def parse_graph_text(text: str) -> BaseGraph:
+    return BaseGraph(*parse_edge_list(text))
 
 
 _COMPLETE_RE = re.compile(r"^K(\d+)$")
 
 
-def resolve_graph_arg(spec: str) -> BaseGraph:
-    """Accept the shorthand "Km" or a path to a graph text file."""
+def read_edge_list(spec: str) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The vertex count and edges named by the shorthand "Km" or by a path
+    to a graph text file; a file's edges need not form a BaseGraph."""
     m = _COMPLETE_RE.match(spec.strip())
     if m:
-        return make_complete_graph(int(m.group(1)))
+        g = make_complete_graph(int(m.group(1)))
+        return g.num_vertices, g.edges
     path = Path(spec)
     if not path.exists():
         raise ValueError(f"graph spec {spec!r} is neither 'Km' nor an existing file")
-    return parse_graph_text(path.read_text())
+    return parse_edge_list(path.read_text())
+
+
+def resolve_graph_arg(spec: str) -> BaseGraph:
+    """Accept the shorthand "Km" or a path to a graph text file."""
+    return BaseGraph(*read_edge_list(spec))

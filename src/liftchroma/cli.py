@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import asymptotics, experiments, lattice_tools, stochastic_opt, thresholds
-from .base_graph import resolve_graph_arg
+from .base_graph import read_edge_list, resolve_graph_arg
 from .coloring import chromatic_number, count_proper_colorings, count_strongly_equitable
 from .lift import Lift, expand, sample_lift
 from .moments_exact import expected_X_exact, expected_Y2_exact, expected_Y_exact
@@ -153,8 +153,8 @@ def _cmd_opt_verify(args) -> None:
 
 
 def _cmd_tau(args) -> None:
-    g = resolve_graph_arg(args.graph)
-    gamma = lattice_tools.ConstraintGraph(num_vertices=g.num_vertices, edges=g.edges)
+    # tau is defined for any loopless multigraph, regular or not
+    gamma = lattice_tools.ConstraintGraph(*read_edge_list(args.graph))
     _emit({"tau": lattice_tools.tau_maximal_forests(gamma)})
 
 

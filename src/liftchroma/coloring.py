@@ -116,13 +116,18 @@ def _dsatur_decide(
     uncolored = m
 
     def pick() -> int:
-        while heap:
-            neg_sat, _neg_deg, v = heap[0]
-            if colors[v] >= 0 or -neg_sat != len(neighbor_colors[v]):
+        while True:
+            while heap:
+                neg_sat, _neg_deg, v = heap[0]
+                if colors[v] < 0 and -neg_sat == len(neighbor_colors[v]):
+                    return v
                 heapq.heappop(heap)
-                continue
-            return v
-        return -1
+            # A backtrack uncolours a vertex without re-pushing it, so the
+            # heap can run dry while vertices are left: refill it from them.
+            heap.extend(
+                (-len(neighbor_colors[v]), -degrees[v], v) for v in range(m) if colors[v] < 0
+            )
+            heapq.heapify(heap)
 
     # frame: [vertex, colours in use when it was picked, its colour (-1
     # before the first try), the neighbours whose saturation that colour raised]

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .base_graph import BaseGraph, resolve_graph_arg, validate
+from .base_graph import BaseGraph, resolve_graph_arg
 from .coloring import chromatic_number, count_proper_colorings, count_strongly_equitable
 from .errors import BudgetExhaustedError, InvalidConfigError, UndefinedRatioError
 from .lift import Lift, count_cycles_up_to, enumerate_lifts, expand, sample_lift
@@ -123,7 +123,6 @@ def mc_expectation(
     censored, never silently folded in.  ``budget`` is passed to
     make_statistic.
     """
-    validate(g)
     stat = make_statistic(statistic, k, budget)
     start = time.perf_counter()
     values: list[float] = []
@@ -166,7 +165,6 @@ def joint_ratio_estimate(
     exact.  Y and Z_j are each counted once per lift.  Raises
     UndefinedRatioError when the denominator vanishes.
     """
-    validate(g)
     y_stat = make_statistic("Y", k)
     z_stat = make_statistic(f"Z{j}", None)
     if samples is None:

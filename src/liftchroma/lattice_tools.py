@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .asymptotics import LogValue, lambdas, log_gamma_nk
-from .base_graph import BaseGraph, connected_components, validate
+from .base_graph import BaseGraph, connected_components
 from .errors import DomainError, SingularHessianError, TooLargeError
 from .moments_exact import margin_tables
 
@@ -338,7 +338,6 @@ def build_gamma_b(g: BaseGraph, k: int) -> ConstraintGraph:
     matching.  Variable order: edges grouped by base edge, then (i, i2)
     lexicographic with i != i2.
     """
-    validate(g)
     return _bipartite_blocks(k, g.num_edges, minus_matching=True)
 
 
@@ -348,7 +347,6 @@ def build_gamma_a(g: BaseGraph, k: int) -> ConstraintGraph:
     2k|V| vertices, k^2|V| edges, |V| components each K_{k,k}.  Variable
     order: grouped by base vertex, then (i, j) lexicographic.
     """
-    validate(g)
     return _bipartite_blocks(k, g.num_vertices, minus_matching=False)
 
 
@@ -564,7 +562,6 @@ def build_ey_problem(g: BaseGraph, k: int) -> LatticeProblem:
     Summand: the per-edge overlap form of the strongly-equitable count.
     The Hessian at the uniform maximiser is -k(k-1) I exactly.
     """
-    validate(g)
     gamma = build_gamma_b(g, k)
     ne_vars = gamma.num_edges
     nv, ne = g.num_vertices, g.num_edges
@@ -612,7 +609,7 @@ def build_ey2_problem(g: BaseGraph, k: int) -> LatticeProblem:
     """
     from .stochastic_opt import F_A
 
-    d = validate(g)
+    d = g.degree
     gamma = build_gamma_a(g, k)
     nv, ne = g.num_vertices, g.num_edges
     k2 = k * k

@@ -17,12 +17,12 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .base_graph import BaseGraph, validate
+from .base_graph import BaseGraph
 from .errors import TooLargeError
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -77,31 +77,34 @@ class LiftedGraph:
 
     Also usable as a plain multigraph container (``base=None``) so the
     colouring solvers can run on arbitrary small graphs.  ``edges`` keeps
-    one entry per lifted edge; repeats encode multi-edges.
+    one entry per lifted edge; repeats encode multi-edges.  Its two
+    adjacency views are built on first use and kept, as it is immutable.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
     base: BaseGraph | None = None
     n: int = 1
-    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for u, w in self.edges:
-            adj[u].append(w)
-            adj[w].append(u)
-        object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbours of each vertex in edge order, one entry per incident
+        edge: the multigraph view of the cycle counts and covering checks."""
+        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
+        for u, w in self.edges:
+            adj[u].append(w)
+            adj[w].append(u)
+        return tuple(tuple(a) for a in adj)
+
+    @functools.cached_property
     def simple_adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted distinct neighbours of each vertex, loops dropped: the
         colouring solvers' view, in which parallel edges impose one
-        constraint.  Built on first use and kept, as the graph is immutable."""
+        constraint."""
         adj = [set() for _ in range(self.num_vertices)]
         for u, w in self.edges:
             if u != w:
@@ -120,7 +123,6 @@ def sample_lift(g: BaseGraph, n: int, rng) -> Lift:
     int/SeedSequence input the sequence is split into one child stream per
     base edge, so sampling is reproducible and trivially parallelisable.
     """
-    validate(g)
     if n < 1:
         raise ValueError(f"fiber size must be >= 1, got {n}")
     seed = None
@@ -142,7 +144,6 @@ def enumerate_lifts(g: BaseGraph, n: int, cap: int = DEFAULT_ENUMERATION_CAP) ->
 
     Raises TooLargeError up front when the count exceeds ``cap``.
     """
-    validate(g)
     if n < 1:
         raise ValueError(f"fiber size must be >= 1, got {n}")
     total = math.factorial(n) ** g.num_edges
@@ -247,6 +248,9 @@ def count_cycles_up_to(lg: LiftedGraph, jmax: int) -> dict[int, int]:
                 in_path[w] = True
                 extend(anchor, w, 1)
                 in_path[w] = False
+    # extend refers to itself, so the cycle would keep it, the adjacency and
+    # in_path alive until the cyclic collector ran: break it now.
+    del extend
 
     for j in range(3, jmax + 1):
         assert closures[j] % 2 == 0

@@ -17,12 +17,11 @@ expectations.  The same scheme with colour *pairs* (k^2 colours, tables
 forbidding agreement in either coordinate) yields second moments.
 
 One kernel, margin_tables, enumerates every table here (the tables of M
-and of its pair analogue, the per-edge tables of the factorized=False
-E[Y] oracle, the pair histograms of E[Y^2]) and the lattice points of
-lattice_tools.enumerate_lattice_points.  It walks the allowed cells in a
-fixed order, depth first on an explicit stack, each cell taking its values
-in increasing order; the last cell on a row or column takes what is left
-of that line's margin.
+and of its pair analogue, the pair histograms of E[Y^2]) and the lattice
+points of lattice_tools.enumerate_lattice_points.  It walks the allowed
+cells in a fixed order, depth first on an explicit stack, each cell taking
+its values in increasing order; the last cell on a row or column takes what
+is left of that line's margin.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
-from .base_graph import BaseGraph, validate
+from .base_graph import BaseGraph
 from .coloring import EquitableSpec
 from .errors import TooLargeError
 from .lift import Lift, enumerate_lifts
@@ -171,7 +170,6 @@ def histogram_pair_count(
 ) -> int:
     """Number of (lift, colouring) pairs whose per-fiber colour histogram is
     exactly ``a_counts`` (integer counts per vertex)."""
-    validate(g)
     weight = 1
     for counts in a_counts:
         weight *= multinomial(n, counts)
@@ -208,7 +206,6 @@ def expected_X_exact(
     Sums histogram_pair_count over all per-vertex colour histograms and
     divides by the n!^{|E|} lifts.  Valid for any regular base graph.
     """
-    validate(g)
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     per_vertex = math.comb(n + k - 1, k - 1)
@@ -220,46 +217,26 @@ def expected_X_exact(
     return _histogram_sum(g, n, multi, proper_matching_count)
 
 
-def expected_Y_exact(
-    g: BaseGraph, n: int, k: int, factorized: bool = True
-) -> Fraction:
-    """E[Y] where Y counts strongly equitable k-colourings (k | n).
-
-    Factorized form: multinomial(n; n/k, ..., n/k)^{|V|} * (M(t,t)/n!)^{|E|}
-    with t the uniform quota vector.  ``factorized=False`` enumerates the
-    joint per-edge table lattice instead; the two must agree exactly.
-    """
-    validate(g)
+def expected_Y_exact(g: BaseGraph, n: int, k: int) -> Fraction:
+    """E[Y] where Y counts strongly equitable k-colourings (k | n):
+    multinomial(n; n/k, ..., n/k)^{|V|} * (M(t,t)/n!)^{|E|} with t the
+    uniform quota vector."""
     if n % k != 0:
         raise ValueError(f"strong equitability needs k | n; got n={n}, k={k}")
-    t = (n // k,) * k
-    return _expected_Y_from_quotas(g, n, t, factorized)
+    return _expected_Y_from_quotas(g, n, (n // k,) * k)
 
 
-def expected_Y_exact_extended(
-    g: BaseGraph, n: int, k: int, factorized: bool = True
-) -> Fraction:
+def expected_Y_exact_extended(g: BaseGraph, n: int, k: int) -> Fraction:
     """E[Y] under the extended quotas (first n mod k colours get one extra)."""
-    validate(g)
-    t = EquitableSpec(k=k, n=n).quotas()
-    return _expected_Y_from_quotas(g, n, t, factorized)
+    return _expected_Y_from_quotas(g, n, EquitableSpec(k=k, n=n).quotas())
 
 
-def _expected_Y_from_quotas(
-    g: BaseGraph, n: int, t: tuple[int, ...], factorized: bool
-) -> Fraction:
-    vertex_factor = multinomial(n, t) ** g.num_vertices
-    if factorized:
-        m = proper_matching_count(t, t)
-        return Fraction(vertex_factor * m**g.num_edges, math.factorial(n) ** g.num_edges)
-    weights = list(_matching_weights(t, t, lambda i, j: i != j))
-    total = 0
-    for combo in itertools.product(weights, repeat=g.num_edges):
-        w = 1
-        for x in combo:
-            w *= x
-        total += w
-    return Fraction(vertex_factor * total, math.factorial(n) ** g.num_edges)
+def _expected_Y_from_quotas(g: BaseGraph, n: int, t: tuple[int, ...]) -> Fraction:
+    m = proper_matching_count(t, t)
+    return Fraction(
+        multinomial(n, t) ** g.num_vertices * m**g.num_edges,
+        math.factorial(n) ** g.num_edges,
+    )
 
 
 def _doubly_stochastic_tables(k: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -281,7 +258,6 @@ def expected_Y2_exact(
     histograms.  Returns 0 when k does not divide n (no strongly equitable
     colourings exist under the uniform quota).
     """
-    validate(g)
     if n % k != 0:
         return Fraction(0)
     q = n // k

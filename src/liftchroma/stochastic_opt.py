@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import lambdas
-from .base_graph import BaseGraph, validate
+from .base_graph import BaseGraph
 from .errors import DegenerateEdgeError, DomainError
 from .thresholds import c_q, ell_threshold
 
@@ -167,7 +167,6 @@ def f_ab(g: BaseGraph, a: np.ndarray, b: np.ndarray) -> float:
     ``a`` has shape (|V|, k); ``b`` has shape (|E|, k, k) with the diagonal
     (i, i) cells unused and required to be zero.
     """
-    validate(g)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     k = a.shape[1]
@@ -206,7 +205,6 @@ def _edge_z(g: BaseGraph, a: np.ndarray, check: bool = True) -> list[float]:
 def b_star(g: BaseGraph, a: np.ndarray) -> np.ndarray:
     """Per-edge maximiser of f in b for fixed a:
     b*_{e,i,i'} = a_{v,i} a_{v',i'} / z_e with z_e = 1 - <a_v, a_v'>."""
-    validate(g)
     a = np.asarray(a, dtype=float)
     k = a.shape[1]
     out = np.zeros((g.num_edges, k, k))
@@ -218,7 +216,6 @@ def b_star(g: BaseGraph, a: np.ndarray) -> np.ndarray:
 
 def f_at_b_star(g: BaseGraph, a: np.ndarray) -> float:
     """f(a, b*(a)) = h(a) + sum_e log(1 - <a_v, a_v'>)."""
-    validate(g)
     a = np.asarray(a, dtype=float)
     total = -float(np.sum(xlogx(a)))
     for z in _edge_z(g, a):
@@ -253,7 +250,6 @@ def f_AB(g: BaseGraph, A: np.ndarray, B: np.ndarray) -> float:
     ``A`` has shape (|V|, k, k); ``B`` has shape (|E|, k, k, k, k) indexed
     [e, i, j, i', j'], supported on i != i', j != j'.
     """
-    validate(g)
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     k = A.shape[1]
@@ -283,7 +279,6 @@ def F_A(g: BaseGraph, A: np.ndarray) -> float:
              + (1/(2 lam')) sum (a_v - a_v')^2
              + (2/(k^2 (k-1)^2)) log(1/(k^2 (k-1)^2)) ].
     """
-    d = validate(g)
     A = np.asarray(A, dtype=float)
     k = A.shape[1]
     lam, lamp = lambdas(k)
@@ -296,7 +291,7 @@ def F_A(g: BaseGraph, A: np.ndarray) -> float:
         + const
     )
     acc = float(np.cumsum(terms)[-1])  # added edge by edge, in edge order
-    return (d - 1) * float(np.sum(xlogx(A))) - (scale / 2.0) * acc
+    return (g.degree - 1) * float(np.sum(xlogx(A))) - (scale / 2.0) * acc
 
 
 def _pair_edge_terms(g: BaseGraph, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,13 +302,13 @@ def _pair_edge_terms(g: BaseGraph, A: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return A[tails] + A[heads] - 2.0 / (k * k), A[tails] - A[heads]
 
 
-def _F_A_grad(g: BaseGraph, A: np.ndarray, d: int) -> np.ndarray:
-    """Gradient of F_A in A for a d-regular base g."""
+def _F_A_grad(g: BaseGraph, A: np.ndarray) -> np.ndarray:
+    """Gradient of F_A in A."""
     k = A.shape[1]
     lam, lamp = lambdas(k)
     scale = k * k * (k - 1) ** 2
     plus, minus = _pair_edge_terms(g, A)
-    grad = (d - 1) * (np.log(np.maximum(A, 1e-300)) + 1.0)
+    grad = (g.degree - 1) * (np.log(np.maximum(A, 1e-300)) + 1.0)
     # Updates go in tail, head order edge by edge, as a per-edge loop would
     # apply them: a vertex's updates are floats, so their order matters.
     steps = (scale / 2.0) * np.stack([plus / lam + minus / lamp, plus / lam - minus / lamp], axis=1)
@@ -448,7 +443,7 @@ def verify_max_uniform(
     if objective == "f":
         if g is None:
             raise ValueError("objective 'f' needs a base graph")
-        d = validate(g)
+        d = g.degree
         if not (d * d - 1) / (d * math.log(d)) < 2 * (k - 1):
             raise DomainError("hypothesis (d^2-1)/(d log d) < 2(k-1) fails")
         uniform = uniform_profile(g, k)
@@ -472,8 +467,7 @@ def verify_max_uniform(
     elif objective == "F":
         if g is None:
             raise ValueError("objective 'F' needs a base graph")
-        d = validate(g)
-        if not d < ell_threshold(k):
+        if not g.degree < ell_threshold(k):
             raise DomainError("objective 'F' needs d < ell_k")
         uniform = uniform_pair_profile(g, k)
 
@@ -481,7 +475,7 @@ def verify_max_uniform(
             return F_A(g, A)
 
         def grad_fn(A):
-            return _F_A_grad(g, A, d)
+            return _F_A_grad(g, A)
 
         def project_fn(A):
             return project_transportation(A, 1.0 / k)

@@ -10,7 +10,6 @@ from liftchroma.base_graph import (
     make_petersen_graph,
     parse_graph_text,
     resolve_graph_arg,
-    validate,
 )
 from liftchroma.errors import InvalidGraphError
 
@@ -19,9 +18,9 @@ def test_complete_graph_shapes():
     g = make_complete_graph(4)
     assert g.num_vertices == 4
     assert g.num_edges == 6
-    assert validate(g) == 3
+    assert g.degree == 3
     g3 = make_complete_graph(3)
-    assert (g3.num_vertices, g3.num_edges, validate(g3)) == (3, 3, 2)
+    assert (g3.num_vertices, g3.num_edges, g3.degree) == (3, 3, 2)
 
 
 def test_complete_graph_rejects_small():
@@ -35,65 +34,84 @@ def test_complete_graph_orientation_lexicographic():
 
 
 def test_validate_loop():
-    g = BaseGraph(2, ((0, 0), (0, 1), (1, 0), (1, 1)))
-    with pytest.raises(InvalidGraphError, match="loop"):
-        validate(g)
+    with pytest.raises(InvalidGraphError, match="^loop found at vertex 0$"):
+        BaseGraph(2, ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
 def test_validate_degree_mismatch():
-    path = BaseGraph(3, ((0, 1), (1, 2)))
-    with pytest.raises(InvalidGraphError, match="degree mismatch"):
-        validate(path)
+    with pytest.raises(
+        InvalidGraphError, match="^degree mismatch: vertex 1 has degree 2, vertex 0 has 1$"
+    ):
+        BaseGraph(3, ((0, 1), (1, 2)))
 
 
 def test_validate_too_few_vertices():
-    with pytest.raises(InvalidGraphError, match="too few"):
-        validate(BaseGraph(1, ()))
+    with pytest.raises(InvalidGraphError, match="^too few vertices: 1 < 2$"):
+        BaseGraph(1, ())
 
 
 def test_validate_degree_below_two():
-    single_matching = BaseGraph(2, ((0, 1),))
-    with pytest.raises(InvalidGraphError, match="degree 1 < 2"):
-        validate(single_matching)
+    with pytest.raises(InvalidGraphError, match="^degree 1 < 2$"):
+        BaseGraph(2, ((0, 1),))
+
+
+def test_validate_names_the_first_violation():
+    # vertex count first, then edge by edge (range before loop), then
+    # regularity, then d >= 2
+    with pytest.raises(InvalidGraphError, match="^too few"):
+        BaseGraph(1, ((0, 0),))
+    with pytest.raises(InvalidGraphError, match=r"^edge \(5, 5\) has endpoint out of range$"):
+        BaseGraph(3, ((5, 5), (1, 1)))
+    with pytest.raises(InvalidGraphError, match="^loop found at vertex 1$"):
+        BaseGraph(3, ((1, 1), (0, 5)))
+    with pytest.raises(InvalidGraphError, match="^degree mismatch"):
+        BaseGraph(4, ((0, 1), (2, 3), (2, 3)))
+
+
+def test_degree_is_stored(k3, k4, k5, petersen, doubled_triangle):
+    graphs = [k3, k4, k5, make_complete_graph(6), petersen, doubled_triangle]
+    graphs += [make_cycle_graph(m) for m in range(3, 9)]
+    assert [g.degree for g in graphs] == [2, 3, 4, 5, 3, 4] + [2] * 6
+
+
+def test_degree_outside_equality_hash_and_repr(k4):
+    twin = BaseGraph(k4.num_vertices, k4.edges)
+    assert twin == k4 and hash(twin) == hash(k4)
+    assert repr(k4) == f"BaseGraph(num_vertices=4, edges={k4.edges!r})"
 
 
 def test_spectrum_complete_graphs(k3, k4):
-    s4 = adjacency_spectrum(k4)
-    assert np.allclose(s4.eigenvalues, [3, -1, -1, -1], atol=1e-9)
-    s3 = adjacency_spectrum(k3)
-    assert np.allclose(s3.eigenvalues, [2, -1, -1], atol=1e-9)
+    assert np.allclose(adjacency_spectrum(k4), [3, -1, -1, -1], atol=1e-9)
+    assert np.allclose(adjacency_spectrum(k3), [2, -1, -1], atol=1e-9)
 
 
 def test_spectrum_doubled_triangle(doubled_triangle):
     # adjacency is 2(J - I) on 3 vertices; analytic eigenvalues 4, -2, -2
-    s = adjacency_spectrum(doubled_triangle)
-    assert s.degree == 4
-    assert np.allclose(s.eigenvalues, [4, -2, -2], atol=1e-9)
+    assert np.allclose(adjacency_spectrum(doubled_triangle), [4, -2, -2], atol=1e-9)
 
 
 def test_spectrum_petersen(petersen):
-    s = adjacency_spectrum(petersen)
-    assert np.allclose(s.eigenvalues, [3] + [1] * 5 + [-2] * 4, atol=1e-9)
+    assert np.allclose(adjacency_spectrum(petersen), [3] + [1] * 5 + [-2] * 4, atol=1e-9)
 
 
 @pytest.mark.parametrize("maker", [lambda: make_complete_graph(5), make_petersen_graph, lambda: make_cycle_graph(7)])
 def test_spectrum_invariants(maker):
     g = maker()
-    s = adjacency_spectrum(g)
-    assert abs(sum(s.eigenvalues)) < 1e-9
-    assert abs(s.eigenvalues[0] - s.degree) < 1e-9
+    eigenvalues = adjacency_spectrum(g)
+    assert abs(sum(eigenvalues)) < 1e-9
+    assert abs(eigenvalues[0] - g.degree) < 1e-9
 
 
 def test_spectrum_relabeling_invariance(petersen):
     rng = np.random.default_rng(5)
-    base = adjacency_spectrum(petersen).eigenvalues
+    base = adjacency_spectrum(petersen)
     for _ in range(5):
         perm = rng.permutation(petersen.num_vertices)
         relabeled = BaseGraph(
             petersen.num_vertices,
             tuple((int(perm[t]), int(perm[h])) for t, h in petersen.edges),
         )
-        assert np.allclose(adjacency_spectrum(relabeled).eigenvalues, base, atol=1e-9)
+        assert np.allclose(adjacency_spectrum(relabeled), base, atol=1e-9)
 
 
 def test_text_format_roundtrip(k4):

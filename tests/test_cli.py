@@ -162,6 +162,14 @@ def test_tau_cli_complete_graph_shorthand(capsys):
     assert json.loads(run_cli(capsys, "tau", "--graph", "K4"))["tau"] == 16
 
 
+def test_tau_cli_irregular_multigraph_file(capsys, tmp_path):
+    # tau takes any loopless multigraph, not only a regular base graph: a
+    # triangle with a pendant edge has the triangle's 3 spanning trees
+    path = tmp_path / "paw.txt"
+    path.write_text("4 4\n0 1\n1 2\n2 0\n2 3\n")
+    assert json.loads(run_cli(capsys, "tau", "--graph", str(path)))["tau"] == 3
+
+
 def test_sscm_cli_reports_logs_past_float_range(capsys):
     out = json.loads(run_cli(capsys, "sscm", "--graph", "K30", "--k", "10"))
     g = make_complete_graph(30)

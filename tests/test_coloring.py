@@ -1,4 +1,5 @@
 import heapq
+import sys
 
 import pytest
 
@@ -222,6 +223,44 @@ def test_dsatur_equals_recursive_oracle():
                     assert _dsatur_outcome(_dsatur_decide, adj, comp, k, 20_000) == want
                     outcomes.add(want[0])
     assert outcomes == {True, False, None}
+
+
+def test_dsatur_refills_a_dry_heap():
+    # On this 150-vertex component at k=3 a backtrack uncolours a vertex
+    # without re-pushing it, and the heap runs out of live entries while
+    # that vertex is still uncoloured.  Every pick must name an uncoloured
+    # vertex; a dry heap once made pick() return -1, which indexes the
+    # last vertex.  The picks are watched through the profiler hook.
+    adj = expand(sample_lift(make_complete_graph(5), 30, 7)).simple_adjacency
+    [(comp, _)] = connected_components(adj)
+    pick_code = next(
+        c for c in _dsatur_decide.__code__.co_consts if getattr(c, "co_name", "") == "pick"
+    )
+    dry_calls, picks = [], []
+
+    def watch(frame, event, arg):
+        if frame.f_code is not pick_code:
+            return
+        state = frame.f_locals
+        colors = state["colors"]
+        if event == "call":
+            live = [
+                v for neg_sat, _, v in state["heap"]
+                if colors[v] < 0 and -neg_sat == len(state["neighbor_colors"][v])
+            ]
+            dry_calls.append(not live)
+        elif event == "return":
+            picks.append(0 <= arg < len(colors) and colors[arg] < 0)
+
+    previous = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        outcome = _dsatur_outcome(_dsatur_decide, adj, comp, 3, 20_000)
+    finally:
+        sys.setprofile(previous)
+    assert any(dry_calls)
+    assert picks and all(picks)
+    assert outcome == (True, 20_000 - 265)
 
 
 def test_chromatic_bounds_bracket(k4):

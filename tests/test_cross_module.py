@@ -124,7 +124,3 @@ def test_mc_mean_z3_large_sample(k3):
     # E[Z_3] over (K_3, n=2) is exactly 1
     rec = mc_expectation(k3, 2, None, "Z3", samples=100_000, seed=11)
     assert abs(rec.mean - 1.0) <= 3 * rec.stderr
-
-
-def test_unfactorized_matches_factorized_k4(k4):
-    assert expected_Y_exact(k4, 3, 3, factorized=False) == expected_Y_exact(k4, 3, 3)

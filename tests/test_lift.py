@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from collections import Counter
@@ -131,6 +132,15 @@ def test_count_cycles_validation(k3):
         count_cycles(lg, 1)
     with pytest.raises(ValueError):
         count_cycles(lg, 13)
+
+
+def test_cycle_count_leaves_no_reference_cycle(k4):
+    # a leftover cycle would keep the lift's adjacency alive until the
+    # cyclic collector ran, raising the peak memory of a sampling loop
+    lg = expand(sample_lift(k4, 50, 3))
+    gc.collect()
+    assert count_cycles_up_to(lg, 6)[3] == count_cycles(lg, 3)
+    assert gc.collect() == 0
 
 
 def test_two_cycles_from_multigraph_base(doubled_triangle):

@@ -50,7 +50,6 @@ def test_expected_X_oracle_k4(k4, n, k):
 
 def test_expected_Y_frozen_values(k3):
     assert expected_Y_exact(k3, 3, 3) == 8
-    assert expected_Y_exact(k3, 3, 3, factorized=False) == 8
     with pytest.raises(ValueError):
         expected_Y_exact(k3, 2, 3)
 
