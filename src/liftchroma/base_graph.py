@@ -9,6 +9,7 @@ vectors) refers to it.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -37,20 +38,23 @@ class BaseGraph:
         object.__setattr__(self, "edges", edges)
         if self.num_vertices < 2:
             raise InvalidGraphError(f"too few vertices: {self.num_vertices} < 2")
-        counts = [0] * self.num_vertices
         for t, h in edges:
             if not (0 <= t < self.num_vertices and 0 <= h < self.num_vertices):
                 raise InvalidGraphError(f"edge ({t}, {h}) has endpoint out of range")
             if t == h:
                 raise InvalidGraphError(f"loop found at vertex {t}")
-            counts[t] += 1
-            counts[h] += 1
+        # Degrees over the edge endpoints only, so the work follows the edge
+        # list, never the vertex count; a vertex on no edge has degree 0.
+        counts = Counter(v for edge in edges for v in edge)
         d = counts[0]
-        for v, c in enumerate(counts):
-            if c != d:
-                raise InvalidGraphError(
-                    f"degree mismatch: vertex {v} has degree {c}, vertex 0 has {d}"
-                )
+        bad = [v for v, c in counts.items() if c != d]
+        if d and len(counts) < self.num_vertices:
+            bad.append(next(v for v in range(self.num_vertices) if v not in counts))
+        if bad:
+            v = min(bad)
+            raise InvalidGraphError(
+                f"degree mismatch: vertex {v} has degree {counts[v]}, vertex 0 has {d}"
+            )
         if d < 2:
             raise InvalidGraphError(f"degree {d} < 2")
         object.__setattr__(self, "degree", d)

@@ -315,7 +315,12 @@ def _count_extensions(
             colors[v] = -1
         return total
 
-    return count_from(0)
+    try:
+        return count_from(0)
+    finally:
+        # count_from refers to itself; break the cycle so that its lists are
+        # freed now, also when the budget runs out mid-search.
+        del count_from
 
 
 def _check_count_size(lg: LiftedGraph) -> None:

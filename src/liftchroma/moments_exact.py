@@ -16,6 +16,20 @@ Dividing by the n!^{|E|} equally likely lifts turns pair counts into
 expectations.  The same scheme with colour *pairs* (k^2 colours, tables
 forbidding agreement in either coordinate) yields second moments.
 
+E[X] and E[Y^2] sum that product over every assignment of one histogram
+per base vertex, by one forward dynamic programme over the vertices in
+index order (variable elimination along a path decomposition).  The state
+after vertex t maps the histograms of the frontier (placed vertices with a
+neighbour still to place) to the summed weight of every assignment of
+vertices 0..t agreeing with them; the edge counts come from one h x h
+integer matrix, so M is computed h^2 times whatever the base.  The cost
+follows the frontier, not h^|V|: on a cycle a layer holds at most h^2
+states.  ``profile_cap`` bounds the work done, counted as transitions
+(states entering a layer times h, summed over the layers) and checked
+before each layer runs: about 1.0e5 for E[X] and 1.2e5 for E[Y^2] on K4
+with n=6, k=3, 4.6e4 for E[X] on Petersen with n=2, k=3, and 8.5e5 with
+n=3, all within the default 10^6.
+
 One kernel, margin_tables, enumerates every table here (the tables of M
 and of its pair analogue, the pair histograms of E[Y^2]) and the lattice
 points of lattice_tools.enumerate_lattice_points.  It walks the allowed
@@ -26,7 +40,6 @@ is left of that line's margin.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -178,24 +191,83 @@ def histogram_pair_count(
     return weight
 
 
-def _histogram_sum(
-    g: BaseGraph, n: int, multi: dict, edge_count: Callable[[object, object], int]
+def _check_work(work: int, profile_cap: int) -> None:
+    if work > profile_cap:
+        raise TooLargeError(f"{work} histogram transitions exceed cap {profile_cap}")
+
+
+def _frontier_sum(
+    g: BaseGraph,
+    n: int,
+    keys: Sequence,
+    weights: Sequence[int],
+    edge_count: Callable[[object, object], int],
+    profile_cap: int,
 ) -> Fraction:
-    """Sum over every assignment of one histogram per vertex (the keys of
-    ``multi``, which maps each to its multinomial) of the vertex
-    multinomials times edge_count(tail, head) over the edges, divided by
-    the n!^{|E|} lifts."""
-    total = 0
-    for assignment in itertools.product(multi, repeat=g.num_vertices):
-        weight = 1
-        for h in assignment:
-            weight *= multi[h]
-        for tail, head in g.edges:
-            weight *= edge_count(assignment[tail], assignment[head])
-            if weight == 0:
-                break
-        total += weight
-    return Fraction(total, math.factorial(n) ** g.num_edges)
+    """Sum over every assignment of one histogram per vertex (``keys[i]``,
+    weighing ``weights[i]``) of the vertex weights times edge_count(tail,
+    head) over the edges, divided by the n!^{|E|} lifts.
+
+    The frontier programme of the module docstring: placing vertex t with
+    index i multiplies a state's weight by weights[i] and by W[s_u][i] or
+    W[i][s_u] for each edge back to a frontier vertex u, W the h x h matrix
+    of edge counts.
+    """
+    h = len(keys)
+    # Vertex 0 has a later neighbour, so layer 1 takes all h of its states:
+    # refuse before the h*h kernel calls if that alone passes the cap.
+    _check_work(h + h * h, profile_cap)
+    rows = [[edge_count(a, b) for b in keys] for a in keys]
+    cols = [list(col) for col in zip(*rows)]
+    # Per orientation of an edge back from t to u: the dense factors, and
+    # the nonzero ones already times weights[i], indexed by u's histogram.
+    # Edge u -> t multiplies by W[s_u][i] (a row of W), t -> u by W[i][s_u].
+    sides = [
+        (dense, [[(i, w * weights[i]) for i, w in enumerate(line) if w] for line in dense])
+        for dense in (cols, rows)
+    ]
+    # A vertex with no edge back to the frontier may take any histogram.
+    unconstrained = list(enumerate(weights))
+
+    # last[u]: u's latest neighbour in the order (u itself if none is later);
+    # back[t]: t's edges to earlier vertices u, and whether u is the tail.
+    last = list(range(g.num_vertices))
+    back: list[list[tuple[int, bool]]] = [[] for _ in last]
+    for tail, head in g.edges:
+        u, t = min(tail, head), max(tail, head)
+        last[u] = max(last[u], t)
+        back[t].append((u, u == tail))
+
+    frontier: list[int] = []
+    states: dict[tuple[int, ...], int] = {(): 1}
+    work = 0
+    for t in range(g.num_vertices):
+        work += len(states) * h
+        _check_work(work, profile_cap)
+        pos = {u: p for p, u in enumerate(frontier)}
+        edges = [(pos[u], sides[u_is_tail]) for u, u_is_tail in back[t]]
+        if edges:
+            lead, (_, sparse) = edges[0]
+        keep = [p for p, u in enumerate(frontier) if last[u] > t]
+        frontier = [frontier[p] for p in keep]
+        grows = last[t] > t
+        if grows:
+            frontier.append(t)
+        nxt: dict[tuple[int, ...], int] = {}
+        for s, value in states.items():
+            candidates = sparse[s[lead]] if edges else unconstrained
+            factors = [dense[s[p]] for p, (dense, _) in edges[1:]]
+            kept = tuple(s[p] for p in keep)
+            for i, f in candidates:
+                for row in factors:
+                    f *= row[i]
+                    if not f:
+                        break
+                else:
+                    key = kept + (i,) if grows else kept
+                    nxt[key] = nxt.get(key, 0) + value * f
+        states = nxt
+    return Fraction(sum(states.values()), math.factorial(n) ** g.num_edges)
 
 
 def expected_X_exact(
@@ -208,13 +280,11 @@ def expected_X_exact(
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    per_vertex = math.comb(n + k - 1, k - 1)
-    if per_vertex ** g.num_vertices > profile_cap:
-        raise TooLargeError(
-            f"{per_vertex}^{g.num_vertices} colour histograms exceed cap {profile_cap}"
-        )
-    multi = {c: multinomial(n, c) for c in compositions(n, k)}
-    return _histogram_sum(g, n, multi, proper_matching_count)
+    h = math.comb(n + k - 1, k - 1)
+    _check_work(h + h * h, profile_cap)  # before listing the h histograms
+    keys = list(compositions(n, k))
+    weights = [multinomial(n, c) for c in keys]
+    return _frontier_sum(g, n, keys, weights, proper_matching_count, profile_cap)
 
 
 def expected_Y_exact(g: BaseGraph, n: int, k: int) -> Fraction:
@@ -262,12 +332,8 @@ def expected_Y2_exact(
         return Fraction(0)
     q = n // k
     tables = _doubly_stochastic_tables(k, q)
-    if len(tables) ** g.num_vertices > profile_cap:
-        raise TooLargeError(
-            f"{len(tables)}^{g.num_vertices} pair histograms exceed cap {profile_cap}"
-        )
-    multi = {tab: multinomial(n, [x for row in tab for x in row]) for tab in tables}
-    return _histogram_sum(g, n, multi, proper_pair_matching_count)
+    weights = [multinomial(n, [x for row in tab for x in row]) for tab in tables]
+    return _frontier_sum(g, n, tables, weights, proper_pair_matching_count, profile_cap)
 
 
 def brute_force_moment(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,41 @@ def test_validate_names_the_first_violation():
         BaseGraph(3, ((1, 1), (0, 5)))
     with pytest.raises(InvalidGraphError, match="^degree mismatch"):
         BaseGraph(4, ((0, 1), (2, 3), (2, 3)))
+
+
+@pytest.mark.parametrize(
+    "num_vertices,edges,message",
+    [
+        (1, (), "too few vertices: 1 < 2"),
+        (-3, ((0, 1),), "too few vertices: -3 < 2"),
+        (3, ((0, 1), (1, 3)), "edge (1, 3) has endpoint out of range"),
+        (3, ((-1, 0),), "edge (-1, 0) has endpoint out of range"),
+        (3, ((0, 1), (2, 2)), "loop found at vertex 2"),
+        (3, ((0, 1), (1, 2)), "degree mismatch: vertex 1 has degree 2, vertex 0 has 1"),
+        # a vertex on no edge has degree 0, vertex 0 included
+        (4, ((0, 1), (1, 2), (2, 0)), "degree mismatch: vertex 3 has degree 0, vertex 0 has 2"),
+        (4, ((1, 2), (2, 3), (3, 1)), "degree mismatch: vertex 1 has degree 2, vertex 0 has 0"),
+        (10**7, ((0, 1), (0, 1)), "degree mismatch: vertex 2 has degree 0, vertex 0 has 2"),
+        (3, (), "degree 0 < 2"),
+        (2, ((0, 1),), "degree 1 < 2"),
+    ],
+)
+def test_invalid_graph_messages(num_vertices, edges, message):
+    with pytest.raises(InvalidGraphError) as info:
+        BaseGraph(num_vertices, edges)
+    assert str(info.value) == message
+
+
+def test_huge_vertex_count_is_refused_without_a_per_vertex_list():
+    # the checks cost memory in the edges, not in the header's vertex count
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidGraphError, match="^degree 0 < 2$"):
+            BaseGraph(10**7, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_degree_is_stored(k3, k4, k5, petersen, doubled_triangle):

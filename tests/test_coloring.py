@@ -1,3 +1,4 @@
+import gc
 import heapq
 import sys
 
@@ -114,6 +115,23 @@ def test_strongly_equitable_enumeration_oracle(k3):
 
 def test_strongly_equitable_one_color(k3):
     assert count_strongly_equitable(sample_lift(k3, 2, 0), 1) == 0
+
+
+def test_counters_leave_no_reference_cycle(k4):
+    # The recursive counter refers to itself; it must not leave that cycle
+    # (and the colour and quota lists it holds) to the cyclic collector,
+    # whether the search ends or runs out of budget.
+    lift = sample_lift(k4, 3, 0)
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_strongly_equitable(lift, 3) > 0
+        assert gc.collect() == 0
+        with pytest.raises(BudgetExhaustedError):
+            count_proper_colorings(expand(lift), 3, budget=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_equitable_below_proper(k3, k4):

@@ -2,8 +2,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from conftest import identity_lift
+from liftchroma.base_graph import BaseGraph, make_cycle_graph
 from liftchroma.coloring import count_proper_colorings, count_strongly_equitable
 from liftchroma.errors import TooLargeError
 from liftchroma.lift import enumerate_lifts, expand
@@ -17,6 +20,7 @@ from liftchroma.moments_exact import (
     expected_Y_exact_extended,
     histogram_pair_count,
     margin_tables,
+    multinomial,
     proper_matching_count,
     proper_pair_matching_count,
 )
@@ -139,6 +143,121 @@ def test_brute_force_z3(k3):
 def test_profile_cap(k4):
     with pytest.raises(TooLargeError):
         expected_X_exact(k4, 3, 3, profile_cap=10)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the frontier dynamic programme
+
+
+def _oracle_histogram_sum(g, n, multi, edge_count) -> Fraction:
+    """The loop the frontier sum replaced: every one of the h^|V|
+    assignments of a histogram (a key of ``multi``) to each vertex."""
+    total = 0
+    for assignment in itertools.product(multi, repeat=g.num_vertices):
+        weight = 1
+        for h in assignment:
+            weight *= multi[h]
+        for tail, head in g.edges:
+            weight *= edge_count(assignment[tail], assignment[head])
+            if weight == 0:
+                break
+        total += weight
+    return Fraction(total, math.factorial(n) ** g.num_edges)
+
+
+def _oracle_X(g, n, k):
+    multi = {c: multinomial(n, c) for c in compositions(n, k)}
+    return _oracle_histogram_sum(g, n, multi, proper_matching_count)
+
+
+def _oracle_Y2(g, n, k):
+    tables = _doubly_stochastic_tables(k, n // k)
+    multi = {t: multinomial(n, [x for row in t for x in row]) for t in tables}
+    return _oracle_histogram_sum(g, n, multi, proper_pair_matching_count)
+
+
+def _contracted_moment(g, n, fibre_states, clash) -> Fraction:
+    """Average over all n-lifts of the number of fibre-state assignments
+    whose every lifted edge is proper, by a numpy tensor contraction of the
+    colouring-level network: one index per base vertex ranging over the
+    colourings of its fibre, one matrix per edge counting the matchings
+    with no clash."""
+    states = list(fibre_states)
+    perms = list(itertools.permutations(range(n)))
+    edge = np.array(
+        [
+            [sum(not any(clash(a[i], b[p[i]]) for i in range(n)) for p in perms) for b in states]
+            for a in states
+        ],
+        dtype=np.int64,
+    )
+    # no partial sum can pass this, so int64 stays exact
+    assert int(edge.max()) ** g.num_edges * len(states) ** g.num_vertices < 2**63
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    subscripts = ",".join(letters[t] + letters[h] for t, h in g.edges) + "->"
+    # pairwise contractions with intermediates up to 10^6 entries
+    total = np.einsum(subscripts, *[edge] * g.num_edges, optimize=("greedy", 10**6))
+    return Fraction(int(total), math.factorial(n) ** g.num_edges)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frontier_sum_equals_oracle_loop_k3(k3, doubled_triangle, n):
+    for g in (k3, doubled_triangle):
+        for k in (2, 3):
+            assert expected_X_exact(g, n, k) == _oracle_X(g, n, k)
+        assert expected_Y2_exact(g, n, n) == _oracle_Y2(g, n, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_frontier_sum_equals_oracle_loop_k4(k4, n):
+    for k in (2, 3):
+        assert expected_X_exact(k4, n, k) == _oracle_X(k4, n, k)
+    assert expected_Y2_exact(k4, n, n) == _oracle_Y2(k4, n, n)
+
+
+@pytest.mark.parametrize("m", [3, 8, 13, 2000])
+def test_expected_X_cycle_single_lift(m):
+    # the one 1-lift of C_m is C_m, with chromatic polynomial
+    # (k-1)^m + (-1)^m (k-1); m = 2000 would overflow a recursive walk
+    assert expected_X_exact(make_cycle_graph(m), 1, 3) == 2**m + 2 * (-1) ** m
+
+
+@pytest.mark.slow
+def test_expected_X_cycle_2_lifts_oracle():
+    # 6^8 histogram assignments, past the old per-assignment cap
+    c8 = make_cycle_graph(8)
+    assert expected_X_exact(c8, 2, 3) == brute_force_moment(c8, 2, _x_statistic(3))
+
+
+def test_expected_X_petersen_single_lift(petersen):
+    assert expected_X_exact(petersen, 1, 3) == count_proper_colorings(
+        expand(identity_lift(petersen, 1)), 3
+    )
+
+
+def test_petersen_moments_within_default_cap(petersen):
+    # 6^10 histogram assignments each, refused before the frontier sum
+    ex = expected_X_exact(petersen, 2, 3)
+    assert ex == Fraction(454929, 32)
+    assert ex == _contracted_moment(
+        petersen, 2, itertools.product(range(3), repeat=2), lambda a, b: a == b
+    )
+    assert expected_Y2_exact(petersen, 3, 3) == Fraction(94846, 81)
+    halves = list(itertools.permutations(range(2)))
+    pairs = [tuple(zip(p, q)) for p in halves for q in halves]
+    assert expected_Y2_exact(petersen, 2, 2) == _contracted_moment(
+        petersen, 2, pairs, lambda a, b: a[0] == b[0] or a[1] == b[1]
+    )
+
+
+def test_profile_cap_bounds_the_transitions(petersen, k4):
+    with pytest.raises(TooLargeError, match=r"^\d+ histogram transitions exceed cap 1000000$"):
+        expected_X_exact(petersen, 4, 3)
+    # h = C(109, 9) histograms: refused before any is listed
+    with pytest.raises(TooLargeError, match=r"exceed cap 1000000$"):
+        expected_X_exact(k4, 100, 10)
+    with pytest.raises(TooLargeError, match=r"^\d+ histogram transitions exceed cap 100$"):
+        expected_Y2_exact(k4, 6, 3, profile_cap=100)
 
 
 def test_histogram_pair_count_matches_filtered_enumeration(k3):
