@@ -38,6 +38,8 @@ import numpy as np
 from .base_graph import BaseGraph, adjacency_spectrum
 from .errors import DivergentSeriesError, DomainError
 
+SERIES_TAIL_TOL = 1e-10  # tail bound at which sscm_identity_check truncates
+
 
 @dataclass(frozen=True)
 class LogValue:
@@ -233,14 +235,12 @@ def _series_tail_bound(g: BaseGraph, k: int, J: int) -> float:
     return (k - 1) ** 2 * g.num_edges * rho ** (J + 1) / ((J + 1) * (1 - rho))
 
 
-def sscm_identity_check(
-    g: BaseGraph, k: int, J: int | None = None, tol: float = 1e-10
-) -> IdentityCheck:
+def sscm_identity_check(g: BaseGraph, k: int, J: int | None = None) -> IdentityCheck:
     """Compare log(C2/C1^2) with the truncated series sum lambda_j delta_j^2.
 
-    With J=None the truncation starts at 200 and extends until the
-    geometric tail bound drops below ``tol``.  Also evaluates the closed
-    product form of the left-hand side,
+    With J=None the truncation starts at 200 and extends in steps of 100
+    until the geometric tail bound drops below SERIES_TAIL_TOL.  Also
+    evaluates the closed product form of the left-hand side,
 
         ((k-1)^{4|E|} / ((lam lam')^{|E|-|V|} prod_i (lam lam' + d - alpha_i (k-1)^2)))^{(k-1)^2/2},
 
@@ -254,7 +254,7 @@ def sscm_identity_check(
     lhs = log_c2(g, k) - 2 * log_c1(g, k)
     if J is None:
         J = 200
-        while _series_tail_bound(g, k, J) > tol:
+        while _series_tail_bound(g, k, J) > SERIES_TAIL_TOL:
             J += 100
     terms = variance_series_terms(g, k, J)
     partial = math.fsum(terms)

@@ -9,11 +9,11 @@ so campaigns can be sharded across processes without stream overlap and
 replayed bit-identically.  Inside one sample the lift sampler splits again
 into one stream per base edge.
 
-Statistic names: "Zj" (j-cycle count, e.g. "Z3"), "chi" (exact chromatic
-number), "X" (proper k-colouring count), "Y" (strongly equitable count
-under the uniform quota; identically zero when k does not divide n), and
-"Y*Zj".  "Y" deliberately uses the uniform (r = 0) quota: campaigns probe
-the moment identities, which are stated for k | n.
+Statistic names: "Zj" (j-cycle count for 2 <= j <= MAX_CYCLE_LENGTH, e.g.
+"Z3"), "chi" (exact chromatic number), "X" (proper k-colouring count), "Y"
+(strongly equitable count under the uniform quota; identically zero when k
+does not divide n), and "Y*Zj".  "Y" deliberately uses the uniform (r = 0)
+quota: campaigns probe the moment identities, which are stated for k | n.
 
 Output files: a CSV with the fixed schema
 statistic,n,k,mean,stderr,samples,censored,seconds and a JSONL file whose
@@ -41,7 +41,7 @@ import numpy as np
 from .base_graph import BaseGraph, resolve_graph_arg
 from .coloring import chromatic_number, count_proper_colorings, count_strongly_equitable
 from .errors import BudgetExhaustedError, InvalidConfigError, UndefinedRatioError
-from .lift import Lift, count_cycles_up_to, enumerate_lifts, expand, sample_lift
+from .lift import MAX_CYCLE_LENGTH, Lift, count_cycles_up_to, enumerate_lifts, expand, sample_lift
 
 _STAT_RE = re.compile(r"^(?:Z(\d+)|Y\*Z(\d+)|X|Y|chi)$")
 
@@ -61,6 +61,8 @@ def make_statistic(
     kind = "Z" if m.group(1) else "YZ" if m.group(2) else name
     if kind in ("X", "Y", "YZ") and k is None:
         raise InvalidConfigError(f"statistic {name!r} needs k")
+    if kind in ("Z", "YZ") and not 2 <= j <= MAX_CYCLE_LENGTH:
+        raise InvalidConfigError(f"{name!r}: cycle length not in 2..{MAX_CYCLE_LENGTH}")
 
     def strict_equitable(lift: Lift) -> int:
         if lift.n % k != 0:
@@ -204,6 +206,8 @@ class CampaignConfig:
             raise InvalidConfigError("a master seed is required (no ambient entropy)")
         if not self.n_values:
             raise InvalidConfigError("need at least one fiber size n")
+        if not all(isinstance(n, int) and n >= 1 for n in self.n_values):
+            raise InvalidConfigError("fiber sizes n must be integers >= 1")
         for s in self.statistics:
             make_statistic(s, self.k)
 

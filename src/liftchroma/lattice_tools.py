@@ -2,7 +2,7 @@
 determinants, and the Laplace lattice-summation estimator.
 
 A sum of the shape  sum_{x in K cap (1/n)Z^E, Dx = y} T_n(x)  with D the
-(unsigned, for bipartite Gamma) incidence matrix of a constraint graph is
+unsigned incidence matrix of a bipartite constraint graph Gamma is
 asymptotically
 
     psi(xhat) / (tau(Gamma)^(1/2) det(-H|_V)^(1/2)) * (2 pi n)^(r/2)
@@ -13,15 +13,15 @@ tree per component; Kirchhoff), H is the Hessian of phi at the interior
 maximiser xhat, and det(H|_V) = det(U^T H U) / det(U^T U) for any basis
 matrix U of V (basis-independent).
 
-The exact path never does per-entry Fraction arithmetic.  kernel_basis
-row-reduces D in integers (each row divided by its gcd) and returns
-primitive integer kernel vectors; det_restricted scales a rational H by the
-lcm L of its denominators, forms U^T (L H) U and U^T U over the nonzero
-entries in Python ints and finishes both with fraction-free Bareiss
+The determinants are exact, and never take per-entry Fraction arithmetic.
+kernel_basis row-reduces D in integers (each row divided by its gcd) and
+returns primitive integer kernel vectors; det_restricted scales a rational
+H by the lcm L of its denominators, forms U^T (L H) U and U^T U over the
+nonzero entries in Python ints and finishes both with fraction-free Bareiss
 elimination, as do tau (reduced Laplacians) and fraction_det.  The results
-are exact rationals; float determinants lose integrality already around
-k = 5.  Only a Hessian given as floats (or left to finite differences)
-takes the float path.
+are exact rationals (float determinants lose integrality already around
+k = 5), so the estimator takes only a rational Hessian and refuses a float
+one.
 """
 
 from __future__ import annotations
@@ -83,16 +83,6 @@ def incidence_unsigned(gamma: ConstraintGraph) -> np.ndarray:
     return d
 
 
-def incidence_signed(gamma: ConstraintGraph) -> np.ndarray:
-    """|V| x |E| signed incidence matrix: +1 at the tail, -1 at the head of
-    each stored edge (tail, head)."""
-    d = np.zeros((gamma.num_vertices, gamma.num_edges), dtype=np.int64)
-    for e, (u, v) in enumerate(gamma.edges):
-        d[u, e] = 1
-        d[v, e] = -1
-    return d
-
-
 # ---------------------------------------------------------------------------
 # Exact linear algebra
 
@@ -127,10 +117,13 @@ def bareiss_det(mat: Sequence[Sequence[int]]) -> int:
 
 def _clear_denominators(mat: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """(L*M as integer rows, L) for a matrix of ints and Fractions, with L
-    the lcm of all its denominators."""
+    the lcm of all its denominators; any other entry raises TypeError."""
     if isinstance(mat, np.ndarray):
         mat = mat.tolist()
-    scale = math.lcm(*{x.denominator for row in mat for x in row})
+    try:
+        scale = math.lcm(*{x.denominator for row in mat for x in row})
+    except AttributeError:
+        raise TypeError("exact determinants need int or Fraction entries") from None
     return [[x.numerator * (scale // x.denominator) for x in row] for row in mat], scale
 
 
@@ -225,49 +218,37 @@ def tau_maximal_forests(gamma: ConstraintGraph) -> int:
     return total
 
 
-def _is_exact_matrix(mat) -> bool:
-    if isinstance(mat, np.ndarray):
-        return np.issubdtype(mat.dtype, np.integer)
-    return all(isinstance(x, (int, Fraction)) for row in mat for x in row)
-
-
-def det_restricted(h_matrix, u_basis) -> Fraction | float:
+def det_restricted(h_matrix, u_basis) -> Fraction:
     """det(U^T H U) / det(U^T U): the determinant of H restricted to the
-    column span of U.  Exact (Fraction) when both inputs are rational,
-    float otherwise.  Basis-independent; raises on rank-deficient U.
+    column span of U, as an exact Fraction.  H and U hold ints or
+    Fractions; any other entry raises TypeError, and a rank-deficient U
+    raises ValueError.  Basis-independent.
 
-    The exact branch clears H's denominators into one L, forms U^T (L H) U
-    and U^T U over the nonzero entries in Python ints, and returns
+    Clears H's denominators into one L, forms U^T (L H) U and U^T U over
+    the nonzero entries in Python ints, and returns
     det(U^T (L H) U) / (det(U^T U) L^r) with both determinants by Bareiss.
     """
-    if _is_exact_matrix(h_matrix) and _is_exact_matrix(u_basis):
-        h_int, scale = _clear_denominators(h_matrix)
-        # a common scale on U cancels between the two determinants
-        u_nz = _nonzeros(_clear_denominators(u_basis)[0])
-        r = len(u_basis[0]) if len(u_basis) else 0
-        uthu = [[0] * r for _ in range(r)]
-        utu = [[0] * r for _ in range(r)]
-        for h_row, u_row in zip(_nonzeros(h_int), u_nz):
-            hu = [0] * r
-            for j, h in h_row:
-                for b, x in u_nz[j]:
-                    hu[b] += h * x
-            hu_nz = [(b, y) for b, y in enumerate(hu) if y]
-            for a, x in u_row:
-                for b, y in hu_nz:
-                    uthu[a][b] += x * y
-                for b, y in u_row:
-                    utu[a][b] += x * y
-        gram = bareiss_det(utu)
-        if gram == 0:
-            raise ValueError("basis matrix U is rank-deficient")
-        return Fraction(bareiss_det(uthu), gram * scale**r)
-    h = np.asarray(h_matrix, dtype=float)
-    u = np.asarray(u_basis, dtype=float)
-    gram = np.linalg.det(u.T @ u)
-    if abs(gram) < 1e-12:
+    h_int, scale = _clear_denominators(h_matrix)
+    # a common scale on U cancels between the two determinants
+    u_nz = _nonzeros(_clear_denominators(u_basis)[0])
+    r = len(u_basis[0]) if len(u_basis) else 0
+    uthu = [[0] * r for _ in range(r)]
+    utu = [[0] * r for _ in range(r)]
+    for h_row, u_row in zip(_nonzeros(h_int), u_nz):
+        hu = [0] * r
+        for j, h in h_row:
+            for b, x in u_nz[j]:
+                hu[b] += h * x
+        hu_nz = [(b, y) for b, y in enumerate(hu) if y]
+        for a, x in u_row:
+            for b, y in hu_nz:
+                uthu[a][b] += x * y
+            for b, y in u_row:
+                utu[a][b] += x * y
+    gram = bareiss_det(utu)
+    if gram == 0:
         raise ValueError("basis matrix U is rank-deficient")
-    return float(np.linalg.det(u.T @ h @ u) / gram)
+    return Fraction(bareiss_det(uthu), gram * scale**r)
 
 
 def random_unimodular(size: int, rng) -> list[list[int]]:
@@ -362,10 +343,11 @@ class LatticeProblem:
     the per-variable closed interval; ``xhat`` the (interior) maximiser of
     phi subject to the constraints.  ``log_psi`` returns log psi, with -inf
     for psi = 0, so that psi(xhat) far outside the float range neither
-    underflows to a zero estimate nor overflows.  ``hessian_at_xhat`` may be
-    a rational matrix for an exact restricted determinant; when None it is
-    taken by central finite differences of phi.  Hypotheses on phi/psi
-    regularity are the caller's responsibility.
+    underflows to a zero estimate nor overflows.  ``hessian_at_xhat`` is the
+    Hessian of phi at xhat as a matrix of ints or Fractions.  The estimator
+    needs all four callbacks and the Hessian; the lattice enumeration needs
+    none of them.  Hypotheses on phi/psi regularity are the caller's
+    responsibility.
     """
 
     gamma: ConstraintGraph
@@ -378,85 +360,54 @@ class LatticeProblem:
     hessian_at_xhat: object | None = None
 
 
-def _finite_difference_hessian(phi, xhat: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    n = len(xhat)
-    h = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = step
-            ej[j] = step
-            val = (
-                phi(xhat + ei + ej)
-                - phi(xhat + ei - ej)
-                - phi(xhat - ei + ej)
-                + phi(xhat - ei - ej)
-            ) / (4 * step * step)
-            h[i, j] = h[j, i] = val
-    return h
-
-
-def _log_positive(x: Fraction | float) -> float:
-    """log x for x > 0; a Fraction goes through its (unbounded) numerator
-    and denominator, so no float overflow."""
-    if isinstance(x, Fraction):
-        return math.log(x.numerator) - math.log(x.denominator)
-    return math.log(x)
-
-
 def laplace_estimate(
     problem: LatticeProblem, n: int, diagnostics: dict | None = None
 ) -> LogValue:
     """Evaluate the estimator at lattice scale n, in log-space with sign.
 
-    Requires det(-H|_V) > 0 and an interior maximiser; log psi(xhat) = -inf
-    yields the zero estimate (sign 0).  When ``diagnostics`` is a dict it
-    receives ``kernel_dim`` (r) and ``det_path`` ("exact" for a rational
-    Hessian, "float" otherwise).
+    Requires a bipartite gamma, a rational Hessian, det(-H|_V) > 0 and an
+    interior maximiser; log psi(xhat) = -inf yields the zero estimate
+    (sign 0).  When ``diagnostics`` is a dict it receives ``kernel_dim`` (r)
+    and ``det_path``, always "exact".
     """
     gamma = problem.gamma
-    if problem.phi is None or problem.log_psi is None or problem.log_c_n is None:
-        raise ValueError("laplace_estimate needs phi, log_psi and log_c_n callbacks")
+    if None in (problem.phi, problem.log_psi, problem.log_c_n, problem.hessian_at_xhat):
+        raise ValueError(
+            "laplace_estimate needs phi, log_psi and log_c_n callbacks and hessian_at_xhat"
+        )
     for (lo, hi), x in zip(problem.box, problem.xhat):
         if not lo < x < hi:
             raise DomainError(
                 "maximiser must lie strictly inside the box; boundary maximisers "
                 "are unsupported"
             )
-    bipartite = gamma.is_bipartite()
+    if not gamma.is_bipartite():
+        raise DomainError("Laplace estimate implemented for bipartite gamma only")
     # Constraint consistency at the maximiser, in integers over one common
-    # denominator.  Column e of D is +1 at its tail and +1 (bipartite) or
-    # -1 (signed) at its head.
+    # denominator.  Column e of D is +1 at both ends of edge e.
     xhat = [Fraction(x) for x in problem.xhat]
     y = [Fraction(v) for v in problem.y]
     scale = math.lcm(*(x.denominator for x in xhat + y))
-    head_sign = 1 if bipartite else -1
     lhs = [0] * gamma.num_vertices
     for (tail, head), x in zip(gamma.edges, xhat):
         m = x.numerator * (scale // x.denominator)
         lhs[tail] += m
-        lhs[head] += head_sign * m
+        lhs[head] += m
     if lhs != [v.numerator * (scale // v.denominator) for v in y]:
         raise DomainError("xhat does not satisfy D x = y")
 
-    u = kernel_basis(incidence_unsigned(gamma) if bipartite else incidence_signed(gamma))
+    u = kernel_basis(incidence_unsigned(gamma))
     r = len(u[0]) if u else 0
     if r == 0:
         raise DomainError("constraint kernel is trivial; no lattice to sum over")
-    xhat_float = np.array([float(x) for x in xhat])
-    hess = problem.hessian_at_xhat
-    if hess is None:
-        hess = _finite_difference_hessian(problem.phi, xhat_float)
-    elif isinstance(hess, np.ndarray) and hess.dtype == object:
-        hess = hess.tolist()
-    det_val = (-1) ** r * det_restricted(hess, u)  # det(-H|_V)
+    det_val = (-1) ** r * det_restricted(problem.hessian_at_xhat, u)  # det(-H|_V)
     if diagnostics is not None:
         diagnostics["kernel_dim"] = r
-        diagnostics["det_path"] = "exact" if isinstance(det_val, Fraction) else "float"
+        diagnostics["det_path"] = "exact"
     if det_val <= 0:
         raise SingularHessianError(f"det(-H|_V) = {det_val} must be positive")
 
+    xhat_float = np.array([float(x) for x in xhat])
     tau = tau_maximal_forests(gamma)
     log_psi = problem.log_psi(xhat_float)
     if math.isnan(log_psi):
@@ -466,7 +417,8 @@ def laplace_estimate(
     log_val = (
         log_psi
         - 0.5 * math.log(tau)
-        - 0.5 * _log_positive(det_val)
+        # log det(-H|_V) from its numerator and denominator: no float overflow
+        - 0.5 * (math.log(det_val.numerator) - math.log(det_val.denominator))
         + (r / 2) * math.log(2 * math.pi * n)
         + problem.log_c_n(n)
         + n * problem.phi(xhat_float)

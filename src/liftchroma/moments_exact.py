@@ -28,7 +28,9 @@ states.  ``profile_cap`` bounds the work done, counted as transitions
 (states entering a layer times h, summed over the layers) and checked
 before each layer runs: about 1.0e5 for E[X] and 1.2e5 for E[Y^2] on K4
 with n=6, k=3, 4.6e4 for E[X] on Petersen with n=2, k=3, and 8.5e5 with
-n=3, all within the default 10^6.
+n=3, all within the default 10^6.  The histograms themselves are listed
+only up to isqrt(profile_cap) + 1, where the first layer alone passes the
+cap, so a refusal never lists them all.
 
 One kernel, margin_tables, enumerates every table here (the tables of M
 and of its pair analogue, the pair histograms of E[Y^2]) and the lattice
@@ -40,10 +42,11 @@ is left of that line's margin.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .base_graph import BaseGraph
 from .coloring import EquitableSpec
@@ -199,24 +202,27 @@ def _check_work(work: int, profile_cap: int) -> None:
 def _frontier_sum(
     g: BaseGraph,
     n: int,
-    keys: Sequence,
-    weights: Sequence[int],
+    histograms: Iterable,
+    weight: Callable[[object], int],
     edge_count: Callable[[object, object], int],
     profile_cap: int,
 ) -> Fraction:
-    """Sum over every assignment of one histogram per vertex (``keys[i]``,
-    weighing ``weights[i]``) of the vertex weights times edge_count(tail,
-    head) over the edges, divided by the n!^{|E|} lifts.
+    """Sum over every assignment of one of the ``histograms`` per vertex of
+    the vertex weights weight(key) times edge_count(tail, head) over the
+    edges, divided by the n!^{|E|} lifts.
 
     The frontier programme of the module docstring: placing vertex t with
     index i multiplies a state's weight by weights[i] and by W[s_u][i] or
     W[i][s_u] for each edge back to a frontier vertex u, W the h x h matrix
     of edge counts.
     """
+    # Vertex 0 has a later neighbour, so layer 1 takes all h of its states,
+    # h + h^2 transitions: list at most isqrt(cap) + 1 histograms, where h^2
+    # alone passes the cap, and refuse before the h*h kernel calls.
+    keys = list(itertools.islice(histograms, math.isqrt(profile_cap) + 1))
     h = len(keys)
-    # Vertex 0 has a later neighbour, so layer 1 takes all h of its states:
-    # refuse before the h*h kernel calls if that alone passes the cap.
     _check_work(h + h * h, profile_cap)
+    weights = [weight(key) for key in keys]
     rows = [[edge_count(a, b) for b in keys] for a in keys]
     cols = [list(col) for col in zip(*rows)]
     # Per orientation of an edge back from t to u: the dense factors, and
@@ -280,11 +286,9 @@ def expected_X_exact(
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    h = math.comb(n + k - 1, k - 1)
-    _check_work(h + h * h, profile_cap)  # before listing the h histograms
-    keys = list(compositions(n, k))
-    weights = [multinomial(n, c) for c in keys]
-    return _frontier_sum(g, n, keys, weights, proper_matching_count, profile_cap)
+    return _frontier_sum(
+        g, n, compositions(n, k), partial(multinomial, n), proper_matching_count, profile_cap
+    )
 
 
 def expected_Y_exact(g: BaseGraph, n: int, k: int) -> Fraction:
@@ -309,13 +313,13 @@ def _expected_Y_from_quotas(g: BaseGraph, n: int, t: tuple[int, ...]) -> Fractio
     )
 
 
-def _doubly_stochastic_tables(k: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
+def _doubly_stochastic_tables(k: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All k x k nonnegative integer tables with every row and column sum q."""
     cells = [(i, k + j) for i in range(k) for j in range(k)]
-    return [
+    return (
         tuple(flat[i * k : (i + 1) * k] for i in range(k))
         for flat in margin_tables((q,) * (2 * k), cells)
-    ]
+    )
 
 
 def expected_Y2_exact(
@@ -330,10 +334,10 @@ def expected_Y2_exact(
     """
     if n % k != 0:
         return Fraction(0)
-    q = n // k
-    tables = _doubly_stochastic_tables(k, q)
-    weights = [multinomial(n, [x for row in tab for x in row]) for tab in tables]
-    return _frontier_sum(g, n, tables, weights, proper_pair_matching_count, profile_cap)
+    tables = _doubly_stochastic_tables(k, n // k)
+    return _frontier_sum(
+        g, n, tables, lambda t: multinomial(n, sum(t, ())), proper_pair_matching_count, profile_cap
+    )
 
 
 def brute_force_moment(

@@ -19,8 +19,9 @@ at once, each matrix until its own margins converge.
 The overlap functionals f, F evaluated here drive the moment sums: their
 maxima over the feasible overlap polytopes sit at the uniform profiles, and
 ``verify_max_uniform`` corroborates that numerically with multi-start
-projected gradient ascent.  The analytic theorems supply the guarantee; the
-search only looks for counterexamples.
+projected gradient ascent on f or F.  The analytic theorems supply the
+guarantee; the search only looks for counterexamples.  The two matrix
+inequalities are probed through their gaps on sampled matrices instead.
 """
 
 from __future__ import annotations
@@ -134,15 +135,11 @@ def rect_gap(M, c: float):
             f"coefficient c = {c} is not below (k-1)/(q-1) c_q = "
             f"{rect_coefficient_bound(q, k)}"
         )
-    return math.log(k) + c * math.log((q - 1) * (k - 1)) - _rect_lhs(M, c)
-
-
-def _rect_lhs(M: np.ndarray, c: float):
-    """h(M)/q + c log(kq - k - q + (k/q) rho(M)), one value per q x k matrix."""
-    q, k = M.shape[-2:]
+    # LHS: h(M)/q + c log(kq - k - q + (k/q) rho(M)), one value per matrix
     h = -np.sum(xlogx(M), axis=(-2, -1))
     r = np.sum(M * M, axis=(-2, -1))
-    return h / q + c * np.log(k * q - k - q + (k / q) * r)
+    lhs = h / q + c * np.log(k * q - k - q + (k / q) * r)
+    return math.log(k) + c * math.log((q - 1) * (k - 1)) - lhs
 
 
 def rect_gap_second_form(M, c: float) -> float:
@@ -419,30 +416,20 @@ def _projected_grad_norm(grad: np.ndarray, kind: str) -> float:
 
 
 def verify_max_uniform(
-    objective: str,
-    *,
-    g: BaseGraph | None = None,
-    k: int,
-    q: int | None = None,
-    c: float | None = None,
-    trials: int = 200,
-    seed: int = 0,
+    objective: str, *, g: BaseGraph, k: int, trials: int = 200, seed: int = 0
 ) -> AscentReport:
     """Search for profiles beating the uniform one; report the best found.
 
     objective: "f" (first-moment functional f(a, b*(a)) over per-vertex
-    colour fractions of a complete base), "F" (second-moment outer
-    functional over doubly-stochastic pair profiles), or "rect" (LHS of the
-    rectangular inequality over q x k row-stochastic matrices at
-    coefficient c).  A positive gap_to_uniform means the optimum is at the
-    uniform point, as the corresponding theorem guarantees under its
-    hypotheses; a gap below -1e-9 is a reported finding.
+    colour fractions of a complete base) or "F" (second-moment outer
+    functional over doubly-stochastic pair profiles), both on the base
+    graph g.  A positive gap_to_uniform means the optimum is at the uniform
+    point, as the corresponding theorem guarantees under its hypotheses; a
+    gap below -1e-9 is a reported finding.
     """
     rng = np.random.default_rng(seed)
 
     if objective == "f":
-        if g is None:
-            raise ValueError("objective 'f' needs a base graph")
         d = g.degree
         if not (d * d - 1) / (d * math.log(d)) < 2 * (k - 1):
             raise DomainError("hypothesis (d^2-1)/(d log d) < 2(k-1) fails")
@@ -465,8 +452,6 @@ def verify_max_uniform(
         grad_kind = "rows"
 
     elif objective == "F":
-        if g is None:
-            raise ValueError("objective 'F' needs a base graph")
         if not g.degree < ell_threshold(k):
             raise DomainError("objective 'F' needs d < ell_k")
         uniform = uniform_pair_profile(g, k)
@@ -485,29 +470,6 @@ def verify_max_uniform(
             return project_fn(raw / raw.sum(axis=(1, 2), keepdims=True))
 
         grad_kind = "doubly"
-
-    elif objective == "rect":
-        if q is None or c is None:
-            raise ValueError("objective 'rect' needs q and c")
-        if not c < rect_coefficient_bound(q, k):
-            raise DomainError("coefficient not admissible")
-        uniform = np.full((q, k), 1.0 / k)
-
-        def value_fn(M):
-            return float(_rect_lhs(M, c))
-
-        def grad_fn(M):
-            denom = k * q - k - q + (k / q) * rho(M)
-            return -(np.log(np.maximum(M, 1e-300)) + 1.0) / q + (
-                2.0 * c * k / (q * denom)
-            ) * M
-
-        project_fn = project_rows_to_simplex
-
-        def sample():
-            return rng.dirichlet(np.ones(k), size=q)
-
-        grad_kind = "rows"
 
     else:
         raise ValueError(f"unknown objective {objective!r}")

@@ -1,11 +1,14 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from liftchroma import asymptotics
 from liftchroma.base_graph import make_complete_graph
-from liftchroma.cli import main
+from liftchroma.cli import build_parser, main
 
 
 def run_cli(capsys, *argv) -> str:
@@ -180,3 +183,17 @@ def test_sscm_cli_reports_logs_past_float_range(capsys):
     assert out["log_h"] == asymptotics.log_h_dk(g, 10)
     k4 = json.loads(run_cli(capsys, "sscm", "--graph", "K4", "--k", "3"))
     assert k4["C1"] == math.exp(k4["log_C1"]) == pytest.approx(4096.0)
+
+
+def test_readme_cli_examples_parse():
+    # every `liftchroma ...` line of README's CLI block names a command and
+    # options the parser still has; nothing is run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```bash\n(.*?)^```", readme, re.M | re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("liftchroma ")]
+    assert lines
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")

@@ -27,6 +27,9 @@ def test_statistic_parsing(k3):
     assert make_statistic("Z3", None)
     assert make_statistic("Y*Z4", 3)
     assert make_statistic("chi", None)
+    lift = sample_lift(k3, 3, sample_seed(0, 0, 0))
+    for name in ("Z2", "Z12", "Y*Z2", "Y*Z12"):  # the cycle lengths 2..MAX_CYCLE_LENGTH
+        assert make_statistic(name, 3)(lift) >= 0
     with pytest.raises(InvalidConfigError):
         make_statistic("Q7", 3)
     with pytest.raises(InvalidConfigError):
@@ -95,6 +98,37 @@ def test_campaign_requires_valid_config(tmp_path):
     )
     with pytest.raises(InvalidConfigError):
         run_campaign(config2)
+
+
+@pytest.mark.parametrize(
+    "statistics,n_values",
+    [
+        (["Z0"], [4]),
+        (["Z1"], [4]),
+        (["Z13"], [4]),
+        (["Y*Z1"], [4]),
+        (["Z3"], [0]),
+        (["Z3"], ["4"]),
+    ],
+    ids=["Z0", "Z1", "Z13", "Y*Z1", "n=0", "n='4'"],
+)
+def test_campaign_rejects_bad_cells_before_running(tmp_path, statistics, n_values):
+    # cycle lengths outside 2..12 and fiber sizes that are not integers >= 1
+    # would die mid-run
+    config = CampaignConfig(
+        graph="K4",
+        n_values=n_values,
+        k=3,
+        statistics=statistics,
+        samples=2,
+        seed=1,
+        output_prefix=str(tmp_path / "out"),
+    )
+    with pytest.raises(InvalidConfigError):
+        config.validate_config()
+    with pytest.raises(InvalidConfigError):
+        run_campaign(config)
+    assert not list(tmp_path.iterdir())
 
 
 def test_campaign_outputs_deterministic(tmp_path):

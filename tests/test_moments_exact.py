@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_lift
+from liftchroma import moments_exact
 from liftchroma.base_graph import BaseGraph, make_cycle_graph
 from liftchroma.coloring import count_proper_colorings, count_strongly_equitable
 from liftchroma.errors import TooLargeError
@@ -260,6 +261,29 @@ def test_profile_cap_bounds_the_transitions(petersen, k4):
         expected_Y2_exact(k4, 6, 3, profile_cap=100)
 
 
+def test_refused_moment_lists_at_most_isqrt_cap_plus_one_tables(k4, monkeypatch):
+    # h histograms cost h + h^2 transitions in the first layer alone, so a
+    # refusal must not list more than isqrt(cap) + 1 of them first
+    listed = [0]
+
+    def counting(*args, **kwargs):
+        for table in margin_tables(*args, **kwargs):
+            listed[0] += 1
+            yield table
+
+    monkeypatch.setattr(moments_exact, "margin_tables", counting)
+    cases = [
+        (expected_Y2_exact, (k4, 6, 3), 100),  # 21 pair tables
+        (expected_Y2_exact, (k4, 30, 3), 10**6),  # 2211 pair tables
+        (expected_X_exact, (k4, 100, 10), 10**6),  # C(109, 9) histograms
+    ]
+    for moment, args, cap in cases:
+        listed[0] = 0
+        with pytest.raises(TooLargeError, match=rf"^\d+ histogram transitions exceed cap {cap}$"):
+            moment(*args, profile_cap=cap)
+        assert listed[0] <= math.isqrt(cap) + 1
+
+
 def test_histogram_pair_count_matches_filtered_enumeration(k3):
     # fix a colour histogram and count (lift, colouring) pairs directly
     n, k = 2, 3
@@ -403,7 +427,7 @@ def test_matching_counts_equal_recursive_oracle():
 
 @pytest.mark.parametrize("k,q", [(2, 4), (3, 2), (3, 3), (4, 2)])
 def test_doubly_stochastic_tables_same_order_as_oracle(k, q):
-    assert _doubly_stochastic_tables(k, q) == _oracle_doubly_stochastic_tables(k, q)
+    assert list(_doubly_stochastic_tables(k, q)) == _oracle_doubly_stochastic_tables(k, q)
 
 
 @pytest.mark.parametrize(

@@ -234,10 +234,8 @@ def test_verify_max_uniform_small(k4):
     assert rep.grad_norm_at_uniform < 1e-8
     rep_f = verify_max_uniform("f", g=k4, k=3, trials=10, seed=2)
     assert rep_f.gap_to_uniform >= -1e-9
-    rep_r = verify_max_uniform("rect", k=3, q=4, c=0.5, trials=10, seed=3)
-    assert rep_r.gap_to_uniform >= -1e-9
     with pytest.raises(ValueError):
-        verify_max_uniform("nope", k=3)
+        verify_max_uniform("nope", g=k4, k=3)
 
 
 # ---------------------------------------------------------------------------
