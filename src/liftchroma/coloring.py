@@ -11,6 +11,14 @@ each of colours r..k-1, where n = q*k + r.  For r = 0 this is the plain
 quota is part of the definition, so counts are not symmetric under colour
 relabelling when 0 < r.
 
+The two exact counters share one search over *canonical* colourings: the
+colours split into classes of interchangeable colours (all k for proper
+colourings; 0..r-1 and r..k-1 for strongly equitable ones, the only
+relabellings that keep the quotas), and within a class a vertex may take
+an open colour or the lowest unopened one.  Every labelled colouring is a
+relabelling of exactly one canonical one, so a canonical leaf that opened
+m_i colours of a class of s_i counts prod_i s_i!/(s_i - m_i)!.
+
 All searches honour a node budget; exhausting it raises
 BudgetExhaustedError ("unknown"), never a wrong answer.  The default budget
 is 10**8 nodes and can be overridden with the LIFTCHROMA_BUDGET env var.
@@ -287,15 +295,21 @@ def _greedy_upper(adj: Sequence[Sequence[int]]) -> int:
 
 
 def _count_extensions(
-    adj: Sequence[Sequence[int]], order: list[int], colors: list[int], k: int,
+    adj: Sequence[Sequence[int]], order: list[int], classes: list[range],
     fiber: Sequence[int], remaining: list[list[int]], budget: _Budget,
 ) -> int:
-    """Number of proper extensions of the partial colouring ``colors`` to the
-    vertices of ``order``, coloured in that order, within the quotas:
-    ``remaining[fiber[v]][c]`` more vertices of v's fiber may take colour c.
-    Each search node costs one unit of ``budget``; ``colors`` and
-    ``remaining`` are restored on return."""
+    """Number of proper colourings of the vertices of ``order`` within the
+    quotas: ``remaining[fiber[v]][c]`` more vertices of v's fiber may take
+    colour c.  The colours of each class in ``classes`` are interchangeable
+    (equal quotas), so only canonical colourings are visited: in the
+    order, a vertex takes an open colour of a class or the class's lowest
+    unopened one.  Opening colour start + j of a class of s colours
+    multiplies by s - j, so each canonical leaf counts its relabellings,
+    the product over classes of s!/(s - opened)!.  Each search node costs
+    one unit of ``budget``; ``remaining`` is restored on return."""
     m = len(order)
+    colors = [-1] * len(adj)
+    opened = [0] * len(classes)
 
     def count_from(pos: int) -> int:
         budget.spend()
@@ -303,16 +317,22 @@ def _count_extensions(
             return 1
         v = order[pos]
         rem = remaining[fiber[v]]
-        forbidden = {colors[w] for w in adj[v] if colors[w] >= 0}
+        forbidden = {colors[w] for w in adj[v]}  # -1, uncoloured, is no colour
         total = 0
-        for c in range(k):
-            if rem[c] == 0 or c in forbidden:
-                continue
-            colors[v] = c
-            rem[c] -= 1
-            total += count_from(pos + 1)
-            rem[c] += 1
-            colors[v] = -1
+        for i, cls in enumerate(classes):
+            fresh = cls.start + opened[i]
+            for c in cls[: opened[i] + 1]:
+                if rem[c] and c not in forbidden:
+                    colors[v] = c
+                    rem[c] -= 1
+                    if c == fresh:
+                        opened[i] += 1
+                        total += (cls.stop - c) * count_from(pos + 1)
+                        opened[i] -= 1
+                    else:
+                        total += count_from(pos + 1)
+                    rem[c] += 1
+                    colors[v] = -1
         return total
 
     try:
@@ -333,9 +353,10 @@ def _check_count_size(lg: LiftedGraph) -> None:
 def count_proper_colorings(lg: LiftedGraph, k: int, budget: int | None = None) -> int:
     """Exact number of labelled proper k-colourings (all of them).
 
-    Per component: the first vertex is pinned to colour 0 and the count
-    multiplied by k (proper colourings are colour-symmetric); the rest go
-    in BFS order.  The graph is one fiber whose quota, |V|, never binds.
+    Per component, in BFS order, with the k colours as one class: only
+    canonical colourings are visited, each weighted k!/(k - m)! for the m
+    colours it opens, so the first vertex opens colour 0 with weight k.
+    The graph is one fiber whose quota, |V|, never binds.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -344,7 +365,6 @@ def count_proper_colorings(lg: LiftedGraph, k: int, budget: int | None = None) -
         return 1 if lg.num_vertices == 0 else 0
     adj = lg.simple_adjacency
     b = _Budget(node_budget(budget))
-    colors = [-1] * lg.num_vertices
     fiber = [0] * lg.num_vertices
     remaining = [[lg.num_vertices] * k]
     total = 1
@@ -355,8 +375,7 @@ def count_proper_colorings(lg: LiftedGraph, k: int, budget: int | None = None) -
             order = [comp[0]]
             for u in order:  # BFS: the loop also visits what it appends
                 order += [w for w in adj[u] if w not in order]
-            colors[order[0]] = 0
-            total *= k * _count_extensions(adj, order[1:], colors, k, fiber, remaining, b)
+            total *= _count_extensions(adj, order, [range(k)], fiber, remaining, b)
         if total == 0:
             return 0
     return total
@@ -367,17 +386,21 @@ def count_strongly_equitable(lift: Lift, k: int, budget: int | None = None) -> i
 
     Uses the extended quota rule (colours 0..r-1 get the larger class), so
     it is defined for every n; with k | n it reduces to exactly-n/k-each.
+    Only relabellings inside colours 0..r-1 and inside r..k-1 keep the
+    quotas, so those are the two classes of canonical colourings.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     lg = expand(lift)
     _check_count_size(lg)
-    quotas = EquitableSpec(k=k, n=lift.n).quotas()
+    spec = EquitableSpec(k=k, n=lift.n)
     adj = lg.simple_adjacency
     n, vertices = lift.n, range(lg.num_vertices)
     # Fiber-major order prunes quota violations as early as possible.
     order = sorted(vertices, key=lambda u: (u // n, -len(adj[u])))
+    quotas = spec.quotas()
     remaining = [list(quotas) for _ in range(lift.base.num_vertices)]
     fiber = [u // n for u in vertices]
+    classes = [cls for cls in (range(spec.r), range(spec.r, k)) if cls]
     b = _Budget(node_budget(budget))
-    return _count_extensions(adj, order, [-1] * len(vertices), k, fiber, remaining, b)
+    return _count_extensions(adj, order, classes, fiber, remaining, b)

@@ -59,8 +59,8 @@ def make_statistic(
         raise InvalidConfigError(f"unknown statistic {name!r}")
     j = int(m.group(1) or m.group(2) or 0)
     kind = "Z" if m.group(1) else "YZ" if m.group(2) else name
-    if kind in ("X", "Y", "YZ") and k is None:
-        raise InvalidConfigError(f"statistic {name!r} needs k")
+    if kind in ("X", "Y", "YZ") and not (isinstance(k, int) and k >= 1):
+        raise InvalidConfigError(f"statistic {name!r} needs an integer k >= 1, got {k!r}")
     if kind in ("Z", "YZ") and not 2 <= j <= MAX_CYCLE_LENGTH:
         raise InvalidConfigError(f"{name!r}: cycle length not in 2..{MAX_CYCLE_LENGTH}")
 

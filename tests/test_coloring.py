@@ -354,73 +354,19 @@ def test_bipartite_flags_match_oracle(k3, k4):
 
 
 # ---------------------------------------------------------------------------
-# Oracles for the shared colouring counter: the two recursive counters it
-# replaced
+# Oracle for the shared colouring counter: the unbroken search it replaced,
+# which tries every colour at every vertex in the same vertex order
 
 
-def _oracle_count_component(adj, vertices, k, budget) -> int:
-    index = {v: i for i, v in enumerate(vertices)}
-    local_adj = [[index[w] for w in adj[v] if w in index] for v in vertices]
-    m = len(vertices)
-    order = [0]
-    seen = [False] * m
-    seen[0] = True
-    qi = 0
-    while qi < len(order):
-        for w in local_adj[order[qi]]:
-            if not seen[w]:
-                seen[w] = True
-                order.append(w)
-        qi += 1
-    colors = [-1] * m
+def _oracle_count_extensions(adj, order, k, fiber, remaining, budget) -> int:
+    colors = [-1] * len(adj)
 
     def count_from(pos: int) -> int:
         budget.spend()
-        if pos == m:
+        if pos == len(order):
             return 1
         v = order[pos]
-        total = 0
-        forbidden = {colors[w] for w in local_adj[v] if colors[w] >= 0}
-        for c in range(k):
-            if c in forbidden:
-                continue
-            colors[v] = c
-            total += count_from(pos + 1)
-            colors[v] = -1
-        return total
-
-    colors[order[0]] = 0
-    return k * count_from(1)
-
-
-def _oracle_count_proper(lg, k, budget) -> int:
-    adj = lg.simple_adjacency
-    total = 1
-    for comp, _ in connected_components(adj):
-        if len(comp) == 1:
-            total *= k
-        else:
-            total *= _oracle_count_component(adj, comp, k, budget)
-        if total == 0:
-            return 0
-    return total
-
-
-def _oracle_count_equitable(lift, k, budget) -> int:
-    lg = expand(lift)
-    quotas = EquitableSpec(k=k, n=lift.n).quotas()
-    adj = lg.simple_adjacency
-    n = lift.n
-    remaining = [list(quotas) for _ in range(lift.base.num_vertices)]
-    colors = [-1] * lg.num_vertices
-    order = sorted(range(lg.num_vertices), key=lambda u: (u // n, -len(adj[u])))
-
-    def count_from(pos: int) -> int:
-        budget.spend()
-        if pos == lg.num_vertices:
-            return 1
-        v = order[pos]
-        rem = remaining[v // n]
+        rem = remaining[fiber[v]]
         forbidden = {colors[w] for w in adj[v] if colors[w] >= 0}
         total = 0
         for c in range(k):
@@ -436,8 +382,37 @@ def _oracle_count_equitable(lift, k, budget) -> int:
     return count_from(0)
 
 
+def _oracle_count_proper(lg, k, budget) -> int:
+    adj = lg.simple_adjacency
+    fiber = [0] * lg.num_vertices
+    remaining = [[lg.num_vertices] * k]
+    total = 1
+    for comp, _ in connected_components(adj):
+        if len(comp) == 1:
+            total *= k
+        else:
+            order = [comp[0]]
+            for u in order:
+                order += [w for w in adj[u] if w not in order]
+            total *= _oracle_count_extensions(adj, order, k, fiber, remaining, budget)
+        if total == 0:
+            return 0
+    return total
+
+
+def _oracle_count_equitable(lift, k, budget) -> int:
+    lg = expand(lift)
+    quotas = EquitableSpec(k=k, n=lift.n).quotas()
+    adj = lg.simple_adjacency
+    n = lift.n
+    remaining = [list(quotas) for _ in range(lift.base.num_vertices)]
+    order = sorted(range(lg.num_vertices), key=lambda u: (u // n, -len(adj[u])))
+    fiber = [u // n for u in range(lg.num_vertices)]
+    return _oracle_count_extensions(adj, order, k, fiber, remaining, budget)
+
+
 def _count_outcome(monkeypatch, count, limit):
-    """(value, or None if censored; nodes left) of one counting search.
+    """(value, or None if censored; nodes used) of one counting search.
     ``count`` takes the node limit; the budget it builds is recorded."""
     budgets = []
 
@@ -451,15 +426,16 @@ def _count_outcome(monkeypatch, count, limit):
         value = count(limit)
     except BudgetExhaustedError:
         value = None
-    return value, budgets[-1].left
+    return value, limit - budgets[-1].left
 
 
 def test_shared_counter_equals_both_oracles(k3, k4, monkeypatch):
-    # Equal values and equal nodes left under a 400-node cap mean equal
-    # censoring at every budget up to 400, and equal counts where uncensored.
+    # The canonical search is a subtree of the unbroken one, so under a
+    # 400-node cap it uses no more nodes, never censors where the oracle
+    # finished, and finds the oracle's value wherever the oracle finished.
     lifts = [*enumerate_lifts(k3, 2), *enumerate_lifts(k3, 3), *enumerate_lifts(k4, 2)]
     lifts += [sample_lift(k4, 3, seed) for seed in range(30)]
-    censored = set()
+    outcomes = set()
     for lift in lifts:
         lg = expand(lift)
         for k in (2, 3, 4):
@@ -474,7 +450,33 @@ def test_shared_counter_equals_both_oracles(k3, k4, monkeypatch):
                 ),
             ]
             for public, oracle in pairs:
-                want = _count_outcome(monkeypatch, oracle, 400)
-                assert _count_outcome(monkeypatch, public, 400) == want
-                censored.add(want[0] is None)
-    assert censored == {True, False}
+                want, oracle_nodes = _count_outcome(monkeypatch, oracle, 400)
+                got, nodes = _count_outcome(monkeypatch, public, 400)
+                assert nodes <= oracle_nodes
+                if want is not None:
+                    assert got == want
+                outcomes.add((want is None, got is None))
+    # the oracle censors somewhere the canonical search finishes
+    assert {(False, False), (True, False)} <= outcomes
+
+
+def test_canonical_counts_equal_unbroken_oracle(k3, k4):
+    cases = [(lift, k) for n in (2, 3) for lift in enumerate_lifts(k3, n) for k in (2, 3)]
+    cases += [(lift, k) for lift in enumerate_lifts(k4, 2) for k in (2, 3, 4)]
+    cases += [(sample_lift(k4, 3, seed), k) for seed in range(30) for k in (2, 3, 4)]
+    unlimited = 10**9
+    for lift, k in cases:
+        lg = expand(lift)
+        assert count_proper_colorings(lg, k) == _oracle_count_proper(lg, k, _Budget(unlimited))
+    # the equitable count also on extended quotas (0 < r) and q = 0 (n < k)
+    cases += [(sample_lift(k3, n, seed), 3) for n in (4, 5) for seed in range(10)]
+    cases += [(sample_lift(k4, n, seed), k) for n, k in [(2, 3), (3, 4)] for seed in range(5)]
+    nonzero = set()
+    for lift, k in cases:
+        want = _oracle_count_equitable(lift, k, _Budget(unlimited))
+        assert count_strongly_equitable(lift, k) == want
+        q, r = divmod(lift.n, k)
+        if want:
+            nonzero.add((q > 0, r > 0))
+    # each quota shape is met by a lift with equitable colourings
+    assert nonzero == {(True, False), (True, True), (False, True)}

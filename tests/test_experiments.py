@@ -131,6 +131,28 @@ def test_campaign_rejects_bad_cells_before_running(tmp_path, statistics, n_value
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "statistic,k", [("Y", 0), ("X", -1), ("X", 0), ("Y*Z3", 2.5)], ids=["Y-0", "X-1", "X0", "YZ2.5"]
+)
+def test_campaign_rejects_bad_k_before_running(tmp_path, statistic, k):
+    # each of these died mid-run (ZeroDivisionError, ValueError) or wrote a
+    # mean of 0
+    config = CampaignConfig(
+        graph="K3",
+        n_values=[3],
+        k=k,
+        statistics=[statistic],
+        samples=2,
+        seed=1,
+        output_prefix=str(tmp_path / "out"),
+    )
+    with pytest.raises(InvalidConfigError):
+        config.validate_config()
+    with pytest.raises(InvalidConfigError):
+        run_campaign(config)
+    assert not list(tmp_path.iterdir())
+
+
 def test_campaign_outputs_deterministic(tmp_path):
     config = CampaignConfig(
         graph="K4",
