@@ -11,62 +11,41 @@ each of colours r..k-1, where n = q*k + r.  For r = 0 this is the plain
 quota is part of the definition, so counts are not symmetric under colour
 relabelling when 0 < r.
 
-The two exact counters share one search over *canonical* colourings: the
-colours split into classes of interchangeable colours (all k for proper
-colourings; 0..r-1 and r..k-1 for strongly equitable ones, the only
-relabellings that keep the quotas), and within a class a vertex may take
-an open colour or the lowest unopened one.  Every labelled colouring is a
-relabelling of exactly one canonical one, so a canonical leaf that opened
-m_i colours of a class of s_i counts prod_i s_i!/(s_i - m_i)!.
+The proper count runs the frontier programme that also sums E[X] and
+E[Y^2] (moments_exact.frontier_sum); the strongly equitable count is a
+search over canonical colourings.
 
-All searches honour a node budget; exhausting it raises
-BudgetExhaustedError ("unknown"), never a wrong answer.  The default budget
-is 10**8 nodes and can be overridden with the LIFTCHROMA_BUDGET env var.
+Every solver honours a budget, one unit per search node or per kernel
+transition; exhausting it raises BudgetExhaustedError ("unknown"), never a
+wrong answer.  The default budget is 10**8 units and can be overridden with
+the LIFTCHROMA_BUDGET env var.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 import os
-from dataclasses import dataclass
 from typing import Sequence
 
 from .base_graph import connected_components
 from .errors import BudgetExhaustedError, TooLargeError
 from .lift import Lift, LiftedGraph, expand
+from .moments_exact import EquitableSpec, frontier_sum
 
 DEFAULT_NODE_BUDGET = 10**8
-COUNT_VERTEX_CAP = 40  # vertex limit of the two exact colouring counters
+COUNT_VERTEX_CAP = 40  # vertex limit of the strongly equitable count
 
 
 def node_budget(budget: int | None = None) -> int:
-    """Resolve the search budget: explicit arg > env var > default."""
+    """Resolve the budget, in search nodes or kernel transitions: explicit
+    arg > env var > default."""
     if budget is not None:
         return budget
     env = os.environ.get("LIFTCHROMA_BUDGET")
     if env:
         return int(env)
     return DEFAULT_NODE_BUDGET
-
-
-@dataclass(frozen=True)
-class EquitableSpec:
-    """Per-fiber colour quotas: colours 0..r-1 get q+1, colours r..k-1 get q."""
-
-    k: int
-    n: int
-
-    @property
-    def q(self) -> int:
-        return self.n // self.k
-
-    @property
-    def r(self) -> int:
-        return self.n % self.k
-
-    def quotas(self) -> tuple[int, ...]:
-        q, r = self.q, self.r
-        return tuple(q + 1 if c < r else q for c in range(self.k))
 
 
 class _Budget:
@@ -294,29 +273,87 @@ def _greedy_upper(adj: Sequence[Sequence[int]]) -> int:
     return used
 
 
-def _count_extensions(
-    adj: Sequence[Sequence[int]], order: list[int], classes: list[range],
-    fiber: Sequence[int], remaining: list[list[int]], budget: _Budget,
-) -> int:
-    """Number of proper colourings of the vertices of ``order`` within the
-    quotas: ``remaining[fiber[v]][c]`` more vertices of v's fiber may take
-    colour c.  The colours of each class in ``classes`` are interchangeable
-    (equal quotas), so only canonical colourings are visited: in the
-    order, a vertex takes an open colour of a class or the class's lowest
-    unopened one.  Opening colour start + j of a class of s colours
-    multiplies by s - j, so each canonical leaf counts its relabellings,
-    the product over classes of s!/(s - opened)!.  Each search node costs
-    one unit of ``budget``; ``remaining`` is restored on return."""
-    m = len(order)
-    colors = [-1] * len(adj)
+def _greedy_order(adj: Sequence[Sequence[int]]) -> list[int]:
+    """The vertices in the order that next takes the one with the most placed
+    neighbours (the lowest on a tie), which keeps the frontier small."""
+    count = [0] * len(adj)  # placed neighbours; -1 once placed
+    heap = [(0, v) for v in range(len(adj))]  # sorted, so a heap already
+    order = []
+    while heap:
+        neg, v = heapq.heappop(heap)
+        if -neg == count[v]:  # else placed, or a stale entry
+            count[v] = -1
+            order.append(v)
+            for w in adj[v]:
+                if count[w] >= 0:
+                    count[w] += 1
+                    heapq.heappush(heap, (-count[w], w))
+    return order
+
+
+def _first_appearance(colors: tuple[int, ...]) -> tuple[int, ...]:
+    names: dict[int, int] = {}
+    return tuple(names.setdefault(c, len(names)) for c in colors)
+
+
+def count_proper_colorings(lg: LiftedGraph, k: int, budget: int | None = None) -> int:
+    """Exact number of labelled proper k-colourings (all of them).
+
+    moments_exact.frontier_sum over ``lg`` in _greedy_order, with the k
+    colours as keys, weight 1 and edge count [a != b].  States relabel the
+    frontier's colours by first appearance: trying all k colours folds the
+    k - b unused on a b-colour frontier into one state, whose value counts
+    every labelled colouring with its pattern.  One budget unit is one
+    transition; no vertex cap applies, but k^2 > LAYER_CAP is refused.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    adj = lg.simple_adjacency
+    rank = {v: t for t, v in enumerate(_greedy_order(adj))}
+    edges = tuple((rank[u], rank[w]) for u in range(len(adj)) for w in adj[u] if u < w)
+    return frontier_sum(
+        LiftedGraph(lg.num_vertices, edges), range(k), lambda c: 1, operator.ne,
+        node_budget(budget), BudgetExhaustedError, _first_appearance,
+    )
+
+
+def count_strongly_equitable(lift: Lift, k: int, budget: int | None = None) -> int:
+    """Exact number of proper colourings meeting every fiber's quotas.
+
+    Uses the extended quota rule (colours 0..r-1 get the larger class), so
+    it is defined for every n; with k | n it reduces to exactly-n/k-each.
+
+    Searches canonical colourings in fiber-major order, which prunes quota
+    violations early.  Only relabellings inside colours 0..r-1 and inside
+    r..k-1 keep the quotas; in each of these classes a vertex takes an open
+    colour or the lowest unopened one.  Opening colour start + j of a class
+    of s multiplies by s - j, so a canonical leaf counts its relabellings,
+    the product over classes of s!/(s - opened)!.  One budget unit is one
+    search node.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    lg = expand(lift)
+    if lg.num_vertices > COUNT_VERTEX_CAP:
+        raise TooLargeError(
+            f"{lg.num_vertices} vertices exceeds exact-count cap {COUNT_VERTEX_CAP}"
+        )
+    spec = EquitableSpec(k=k, n=lift.n)
+    adj = lg.simple_adjacency
+    n, m = lift.n, lg.num_vertices
+    order = sorted(range(m), key=lambda u: (u // n, -len(adj[u])))
+    remaining = [list(spec.quotas()) for _ in range(lift.base.num_vertices)]
+    classes = [cls for cls in (range(spec.r), range(spec.r, k)) if cls]
+    budget_left = _Budget(node_budget(budget))
+    colors = [-1] * m
     opened = [0] * len(classes)
 
     def count_from(pos: int) -> int:
-        budget.spend()
+        budget_left.spend()
         if pos == m:
             return 1
         v = order[pos]
-        rem = remaining[fiber[v]]
+        rem = remaining[v // n]
         forbidden = {colors[w] for w in adj[v]}  # -1, uncoloured, is no colour
         total = 0
         for i, cls in enumerate(classes):
@@ -341,66 +378,3 @@ def _count_extensions(
         # count_from refers to itself; break the cycle so that its lists are
         # freed now, also when the budget runs out mid-search.
         del count_from
-
-
-def _check_count_size(lg: LiftedGraph) -> None:
-    if lg.num_vertices > COUNT_VERTEX_CAP:
-        raise TooLargeError(
-            f"{lg.num_vertices} vertices exceeds exact-count cap {COUNT_VERTEX_CAP}"
-        )
-
-
-def count_proper_colorings(lg: LiftedGraph, k: int, budget: int | None = None) -> int:
-    """Exact number of labelled proper k-colourings (all of them).
-
-    Per component, in BFS order, with the k colours as one class: only
-    canonical colourings are visited, each weighted k!/(k - m)! for the m
-    colours it opens, so the first vertex opens colour 0 with weight k.
-    The graph is one fiber whose quota, |V|, never binds.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    _check_count_size(lg)
-    if k == 0:
-        return 1 if lg.num_vertices == 0 else 0
-    adj = lg.simple_adjacency
-    b = _Budget(node_budget(budget))
-    fiber = [0] * lg.num_vertices
-    remaining = [[lg.num_vertices] * k]
-    total = 1
-    for comp, _ in connected_components(adj):
-        if len(comp) == 1:
-            total *= k
-        else:
-            order = [comp[0]]
-            for u in order:  # BFS: the loop also visits what it appends
-                order += [w for w in adj[u] if w not in order]
-            total *= _count_extensions(adj, order, [range(k)], fiber, remaining, b)
-        if total == 0:
-            return 0
-    return total
-
-
-def count_strongly_equitable(lift: Lift, k: int, budget: int | None = None) -> int:
-    """Exact number of proper colourings meeting every fiber's quotas.
-
-    Uses the extended quota rule (colours 0..r-1 get the larger class), so
-    it is defined for every n; with k | n it reduces to exactly-n/k-each.
-    Only relabellings inside colours 0..r-1 and inside r..k-1 keep the
-    quotas, so those are the two classes of canonical colourings.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    lg = expand(lift)
-    _check_count_size(lg)
-    spec = EquitableSpec(k=k, n=lift.n)
-    adj = lg.simple_adjacency
-    n, vertices = lift.n, range(lg.num_vertices)
-    # Fiber-major order prunes quota violations as early as possible.
-    order = sorted(vertices, key=lambda u: (u // n, -len(adj[u])))
-    quotas = spec.quotas()
-    remaining = [list(quotas) for _ in range(lift.base.num_vertices)]
-    fiber = [u // n for u in vertices]
-    classes = [cls for cls in (range(spec.r), range(spec.r, k)) if cls]
-    b = _Budget(node_budget(budget))
-    return _count_extensions(adj, order, classes, fiber, remaining, b)

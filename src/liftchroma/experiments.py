@@ -39,7 +39,12 @@ from typing import Callable
 import numpy as np
 
 from .base_graph import BaseGraph, resolve_graph_arg
-from .coloring import chromatic_number, count_proper_colorings, count_strongly_equitable
+from .coloring import (
+    COUNT_VERTEX_CAP,
+    chromatic_number,
+    count_proper_colorings,
+    count_strongly_equitable,
+)
 from .errors import BudgetExhaustedError, InvalidConfigError, UndefinedRatioError
 from .lift import MAX_CYCLE_LENGTH, Lift, count_cycles_up_to, enumerate_lifts, expand, sample_lift
 
@@ -51,8 +56,9 @@ def make_statistic(
 ) -> Callable[[Lift], Fraction]:
     """Build the per-lift evaluator for a named statistic.
 
-    ``budget`` is the node budget of each exact solver call (chi, X, Y);
-    None defers to LIFTCHROMA_BUDGET or the default (coloring.node_budget).
+    ``budget`` is the budget of each exact solver call (chi, X, Y), one unit
+    per search node (chi, Y) or kernel transition (X); None defers to
+    LIFTCHROMA_BUDGET or the default (coloring.node_budget).
     """
     m = _STAT_RE.match(name)
     if not m:
@@ -238,23 +244,21 @@ def run_campaign(config: CampaignConfig) -> list[EstimateRecord]:
     """
     config.validate_config()
     g = resolve_graph_arg(config.graph)
-    records: list[EstimateRecord] = []
-    cell_index = 0
-    for statistic in config.statistics:
-        for n in config.n_values:
-            records.append(
-                mc_expectation(
-                    g,
-                    n,
-                    config.k,
-                    statistic,
-                    config.samples,
-                    config.seed,
-                    cell_index=cell_index,
-                    budget=config.budget,
-                )
+    cells = [(statistic, n) for statistic in config.statistics for n in config.n_values]
+    for statistic, n in cells:
+        # Y is 0 without a count unless k | n; the count refuses larger lifts.
+        m = g.num_vertices * n
+        if statistic.startswith("Y") and n % config.k == 0 and m > COUNT_VERTEX_CAP:
+            raise InvalidConfigError(
+                f"{statistic} at n={n}: {m} vertices exceeds exact-count cap {COUNT_VERTEX_CAP}"
             )
-            cell_index += 1
+    records = [
+        mc_expectation(
+            g, n, config.k, statistic, config.samples, config.seed,
+            cell_index=cell_index, budget=config.budget,
+        )
+        for cell_index, (statistic, n) in enumerate(cells)
+    ]
 
     prefix = Path(config.output_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -268,16 +272,8 @@ def run_campaign(config: CampaignConfig) -> list[EstimateRecord]:
         writer.writerow(rec.csv_row(config.embed_timings))
     csv_path.write_text(buf.getvalue())
 
-    lines = [
-        json.dumps(
-            {"config": json.loads(config.canonical_json()), "config_sha256": config.sha256()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
-    for rec in records:
-        lines.append(
-            json.dumps(rec.row(config.embed_timings), sort_keys=True, separators=(",", ":"))
-        )
+    meta = {"config": json.loads(config.canonical_json()), "config_sha256": config.sha256()}
+    rows = [meta] + [rec.row(config.embed_timings) for rec in records]
+    lines = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in rows]
     jsonl_path.write_text("\n".join(lines) + "\n")
     return records

@@ -28,9 +28,10 @@ states.  ``profile_cap`` bounds the work done, counted as transitions
 (states entering a layer times h, summed over the layers) and checked
 before each layer runs: about 1.0e5 for E[X] and 1.2e5 for E[Y^2] on K4
 with n=6, k=3, 4.6e4 for E[X] on Petersen with n=2, k=3, and 8.5e5 with
-n=3, all within the default 10^6.  The histograms themselves are listed
-only up to isqrt(profile_cap) + 1, where the first layer alone passes the
-cap, so a refusal never lists them all.
+n=3, all within the default 10^6.  A refusal never lists every histogram,
+and no layer makes more than LAYER_CAP transitions.  The same loop,
+frontier_sum, with the k colours as keys (the histograms of 1-vertex
+fibers) is the proper colouring count of coloring.count_proper_colorings.
 
 One kernel, margin_tables, enumerates every table here (the tables of M
 and of its pair analogue, the pair histograms of E[Y^2]) and the lattice
@@ -44,16 +45,38 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .base_graph import BaseGraph
-from .coloring import EquitableSpec
 from .errors import TooLargeError
-from .lift import Lift, enumerate_lifts
+from .lift import Lift, LiftedGraph, enumerate_lifts
 
 DEFAULT_PROFILE_CAP = 10**6
+# Most transitions in one layer, whatever the cap: a state takes about 100 B.
+LAYER_CAP = 3 * 10**6
+
+
+@dataclass(frozen=True)
+class EquitableSpec:
+    """Per-fiber colour quotas: colours 0..r-1 get q+1, colours r..k-1 get q."""
+
+    k: int
+    n: int
+
+    @property
+    def q(self) -> int:
+        return self.n // self.k
+
+    @property
+    def r(self) -> int:
+        return self.n % self.k
+
+    def quotas(self) -> tuple[int, ...]:
+        q, r = self.q, self.r
+        return tuple(q + 1 if c < r else q for c in range(self.k))
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -194,34 +217,33 @@ def histogram_pair_count(
     return weight
 
 
-def _check_work(work: int, profile_cap: int) -> None:
-    if work > profile_cap:
-        raise TooLargeError(f"{work} histogram transitions exceed cap {profile_cap}")
-
-
-def _frontier_sum(
-    g: BaseGraph,
-    n: int,
-    histograms: Iterable,
+def frontier_sum(
+    g: BaseGraph | LiftedGraph,
+    keys: Iterable,
     weight: Callable[[object], int],
     edge_count: Callable[[object, object], int],
-    profile_cap: int,
-) -> Fraction:
-    """Sum over every assignment of one of the ``histograms`` per vertex of
-    the vertex weights weight(key) times edge_count(tail, head) over the
-    edges, divided by the n!^{|E|} lifts.
-
-    The frontier programme of the module docstring: placing vertex t with
-    index i multiplies a state's weight by weights[i] and by W[s_u][i] or
-    W[i][s_u] for each edge back to a frontier vertex u, W the h x h matrix
-    of edge counts.
+    cap: int,
+    refuse: type[Exception] = TooLargeError,
+    canonical: Callable[[tuple], tuple] | None = None,
+) -> int:
+    """Sum over every assignment of one of the ``keys`` per vertex of ``g``
+    of the vertex weights weight(key) times edge_count(tail, head) over the
+    edges, by the frontier programme of the module docstring: placing
+    vertex t with index i multiplies a state's weight by weights[i] and by
+    W[s_u][i] or W[i][s_u] for each edge back to a frontier vertex u, W the
+    h x h matrix of edge counts.  Past ``cap`` transitions in all, or
+    LAYER_CAP in one layer, it raises ``refuse``, the caller's error.
+    ``canonical``, if given, maps each state to the representative its
+    value is summed into.
     """
-    # Vertex 0 has a later neighbour, so layer 1 takes all h of its states,
-    # h + h^2 transitions: list at most isqrt(cap) + 1 histograms, where h^2
-    # alone passes the cap, and refuse before the h*h kernel calls.
-    keys = list(itertools.islice(histograms, math.isqrt(profile_cap) + 1))
+    # h + h^2 is the first two layers if vertex 0 has a later neighbour, and
+    # bounds the h x h matrix: list at most isqrt(first) + 1 keys, where h^2
+    # alone passes the cap, and refuse before the h*h edge counts.
+    first = min(cap, LAYER_CAP)
+    keys = list(itertools.islice(keys, math.isqrt(first) + 1))
     h = len(keys)
-    _check_work(h + h * h, profile_cap)
+    if h + h * h > first:
+        raise refuse(f"{h + h * h} histogram transitions exceed cap {first}")
     weights = [weight(key) for key in keys]
     rows = [[edge_count(a, b) for b in keys] for a in keys]
     cols = [list(col) for col in zip(*rows)]
@@ -248,8 +270,12 @@ def _frontier_sum(
     states: dict[tuple[int, ...], int] = {(): 1}
     work = 0
     for t in range(g.num_vertices):
-        work += len(states) * h
-        _check_work(work, profile_cap)
+        layer = len(states) * h
+        work += layer
+        if work > cap:
+            raise refuse(f"{work} histogram transitions exceed cap {cap}")
+        if layer > LAYER_CAP:
+            raise refuse(f"{layer} histogram transitions in one layer exceed cap {LAYER_CAP}")
         pos = {u: p for p, u in enumerate(frontier)}
         edges = [(pos[u], sides[u_is_tail]) for u, u_is_tail in back[t]]
         if edges:
@@ -271,9 +297,11 @@ def _frontier_sum(
                         break
                 else:
                     key = kept + (i,) if grows else kept
+                    if canonical:
+                        key = canonical(key)
                     nxt[key] = nxt.get(key, 0) + value * f
         states = nxt
-    return Fraction(sum(states.values()), math.factorial(n) ** g.num_edges)
+    return sum(states.values())
 
 
 def expected_X_exact(
@@ -286,9 +314,10 @@ def expected_X_exact(
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    return _frontier_sum(
-        g, n, compositions(n, k), partial(multinomial, n), proper_matching_count, profile_cap
+    total = frontier_sum(
+        g, compositions(n, k), partial(multinomial, n), proper_matching_count, profile_cap
     )
+    return Fraction(total, math.factorial(n) ** g.num_edges)
 
 
 def expected_Y_exact(g: BaseGraph, n: int, k: int) -> Fraction:
@@ -335,9 +364,10 @@ def expected_Y2_exact(
     if n % k != 0:
         return Fraction(0)
     tables = _doubly_stochastic_tables(k, n // k)
-    return _frontier_sum(
-        g, n, tables, lambda t: multinomial(n, sum(t, ())), proper_pair_matching_count, profile_cap
+    total = frontier_sum(
+        g, tables, lambda t: multinomial(n, sum(t, ())), proper_pair_matching_count, profile_cap
     )
+    return Fraction(total, math.factorial(n) ** g.num_edges)
 
 
 def brute_force_moment(

@@ -62,6 +62,13 @@ def test_count_colorings(capsys):
     assert out["count"] >= 0
 
 
+def test_count_colorings_found_case_within_small_budget(capsys, monkeypatch):
+    # 24 vertices: the node search spent its whole 10^8 budget on this count
+    monkeypatch.setenv("LIFTCHROMA_BUDGET", "1000000")
+    argv = "count-colorings --graph K4 --n 6 --seed 2 --k 4".split()
+    assert json.loads(run_cli(capsys, *argv)) == {"n": 6, "k": 4, "count": 6102566736}
+
+
 def test_moments_exact_cli(capsys):
     out = json.loads(
         run_cli(

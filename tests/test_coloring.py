@@ -1,5 +1,7 @@
 import gc
 import heapq
+import os
+import subprocess
 import sys
 
 import pytest
@@ -12,7 +14,7 @@ from conftest import (
     identity_lift,
     six_cycle_lift,
 )
-from liftchroma import coloring
+from liftchroma import coloring, moments_exact
 from liftchroma.base_graph import connected_components, make_complete_graph
 from liftchroma.coloring import (
     EquitableSpec,
@@ -92,9 +94,53 @@ def test_count_proper_matches_decision(k3, k4):
                 assert (count_proper_colorings(lg, k) > 0) == is_k_colorable(lg, k)
 
 
-def test_count_proper_cap():
-    with pytest.raises(TooLargeError):
-        count_proper_colorings(empty_lifted_graph(50), 3)
+def test_count_proper_has_no_vertex_cap(k4):
+    assert count_proper_colorings(empty_lifted_graph(50), 3) == 3**50
+    # the strongly equitable count keeps its 40-vertex cap
+    with pytest.raises(TooLargeError, match="^44 vertices exceeds exact-count cap 40$"):
+        count_strongly_equitable(sample_lift(k4, 11, 0), 3)
+
+
+def test_count_proper_found_case_within_small_budget(k4, monkeypatch):
+    # 24 vertices: the node search spent its whole 10^8 budget on this count
+    monkeypatch.setenv("LIFTCHROMA_BUDGET", "1000000")
+    lg = expand(sample_lift(k4, 6, 2))
+    assert count_proper_colorings(lg, 4) == 6102566736
+
+
+def test_count_proper_refuses_a_colour_matrix_past_the_layer_cap():
+    # the k x k edge matrix counts as a layer: 9000 colours would need
+    # gigabytes under the default budget before the first layer ran
+    with pytest.raises(BudgetExhaustedError, match=r"exceed cap 3000000$"):
+        count_proper_colorings(cycle_lifted_graph(3), 9000)
+
+
+def test_count_proper_layer_cap_bounds_memory(tmp_path):
+    # Petersen n=4, k=4 builds a layer of about 8.6e7 transitions under the
+    # default budget; the layer cap must refuse it with the budget error
+    # inside a 1 GB address space, not a MemoryError or a kill
+    script = tmp_path / "count.py"
+    script.write_text(
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from liftchroma.base_graph import make_petersen_graph\n"
+        "from liftchroma.coloring import count_proper_colorings\n"
+        "from liftchroma.errors import BudgetExhaustedError\n"
+        "from liftchroma.lift import expand, sample_lift\n"
+        "lg = expand(sample_lift(make_petersen_graph(), 4, 0))\n"
+        "try:\n"
+        "    count_proper_colorings(lg, 4)\n"
+        "except BudgetExhaustedError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("LIFTCHROMA_BUDGET", None)
+    done = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("refused: ")
+    assert done.stdout.endswith(f"exceed cap {moments_exact.LAYER_CAP}\n")
 
 
 def test_strongly_equitable_latin_squares(k3):
@@ -354,8 +400,9 @@ def test_bipartite_flags_match_oracle(k3, k4):
 
 
 # ---------------------------------------------------------------------------
-# Oracle for the shared colouring counter: the unbroken search it replaced,
-# which tries every colour at every vertex in the same vertex order
+# Oracles for the two colouring counts: the unbroken search, which tries
+# every colour at every vertex (per component in BFS order for the proper
+# count, in the equitable count's own order for the equitable one)
 
 
 def _oracle_count_extensions(adj, order, k, fiber, remaining, budget) -> int:
@@ -412,8 +459,9 @@ def _oracle_count_equitable(lift, k, budget) -> int:
 
 
 def _count_outcome(monkeypatch, count, limit):
-    """(value, or None if censored; nodes used) of one counting search.
-    ``count`` takes the node limit; the budget it builds is recorded."""
+    """(value, or None if censored; nodes used, or None if it built no
+    search budget) of one count.  ``count`` takes the limit; the budget it
+    builds is recorded."""
     budgets = []
 
     class RecordingBudget(_Budget):
@@ -426,13 +474,15 @@ def _count_outcome(monkeypatch, count, limit):
         value = count(limit)
     except BudgetExhaustedError:
         value = None
-    return value, limit - budgets[-1].left
+    return value, limit - budgets[-1].left if budgets else None
 
 
 def test_shared_counter_equals_both_oracles(k3, k4, monkeypatch):
-    # The canonical search is a subtree of the unbroken one, so under a
-    # 400-node cap it uses no more nodes, never censors where the oracle
-    # finished, and finds the oracle's value wherever the oracle finished.
+    # Under a 400-unit cap each count never censors where its unbroken
+    # oracle finished, and finds the oracle's value wherever the oracle
+    # finished.  The canonical equitable search is a subtree of its oracle,
+    # so it also uses no more nodes; the proper count spends frontier
+    # transitions, not search nodes, so its units are not compared.
     lifts = [*enumerate_lifts(k3, 2), *enumerate_lifts(k3, 3), *enumerate_lifts(k4, 2)]
     lifts += [sample_lift(k4, 3, seed) for seed in range(30)]
     outcomes = set()
@@ -443,16 +493,19 @@ def test_shared_counter_equals_both_oracles(k3, k4, monkeypatch):
                 (
                     lambda limit: count_proper_colorings(lg, k, budget=limit),
                     lambda limit: _oracle_count_proper(lg, k, coloring._Budget(limit)),
+                    False,
                 ),
                 (
                     lambda limit: count_strongly_equitable(lift, k, budget=limit),
                     lambda limit: _oracle_count_equitable(lift, k, coloring._Budget(limit)),
+                    True,
                 ),
             ]
-            for public, oracle in pairs:
+            for public, oracle, same_units in pairs:
                 want, oracle_nodes = _count_outcome(monkeypatch, oracle, 400)
                 got, nodes = _count_outcome(monkeypatch, public, 400)
-                assert nodes <= oracle_nodes
+                if same_units:
+                    assert nodes <= oracle_nodes
                 if want is not None:
                     assert got == want
                 outcomes.add((want is None, got is None))

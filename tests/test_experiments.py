@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from liftchroma import experiments
 from liftchroma.base_graph import make_complete_graph
 from liftchroma.coloring import count_strongly_equitable
 from liftchroma.errors import (
@@ -151,6 +152,44 @@ def test_campaign_rejects_bad_k_before_running(tmp_path, statistic, k):
     with pytest.raises(InvalidConfigError):
         run_campaign(config)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("statistic", ["Y", "Y*Z3"])
+def test_campaign_refuses_oversized_equitable_cells_before_running(
+    tmp_path, monkeypatch, statistic
+):
+    # the n=3 cell ran, then the 48-vertex count died with TooLargeError
+    # and no CSV or JSONL was written
+    ran = []
+    monkeypatch.setattr(experiments, "mc_expectation", lambda *a, **kw: ran.append(a))
+    config = CampaignConfig(
+        graph="K4",
+        n_values=[3, 12],
+        k=3,
+        statistics=[statistic],
+        samples=2,
+        seed=1,
+        output_prefix=str(tmp_path / "out"),
+    )
+    with pytest.raises(InvalidConfigError, match="48 vertices exceeds exact-count cap 40"):
+        run_campaign(config)
+    assert ran == []
+    assert not list(tmp_path.iterdir())
+
+
+def test_campaign_x_cell_past_the_equitable_cap(tmp_path):
+    # the proper count has no vertex cap: K4 n=11 is 44 vertices
+    config = CampaignConfig(
+        graph="K4",
+        n_values=[11],
+        k=3,
+        statistics=["X"],
+        samples=2,
+        seed=1,
+        output_prefix=str(tmp_path / "out"),
+    )
+    (record,) = run_campaign(config)
+    assert record.samples == 2 and record.censored == 0 and record.mean > 0
 
 
 def test_campaign_outputs_deterministic(tmp_path):
