@@ -37,6 +37,7 @@ import numpy as np
 
 from .base_graph import BaseGraph, adjacency_spectrum
 from .errors import DivergentSeriesError, DomainError
+from .thresholds import ell_threshold
 
 SERIES_TAIL_TOL = 1e-10  # tail bound at which sscm_identity_check truncates
 
@@ -299,8 +300,6 @@ def ey_asym(g: BaseGraph, n: int, k: int) -> LogValue:
 
 def ey2_asym(g: BaseGraph, n: int, k: int) -> LogValue:
     """Asymptotic E[Y^2]: C2 (2 pi n)^{-(k-1)|V|} (k^{|V|}((k-1)/k)^{|E|})^{2n}."""
-    from .thresholds import ell_threshold
-
     d = g.degree
     if n % k != 0:
         raise ValueError(f"strong equitability needs k | n; got n={n}, k={k}")

@@ -253,23 +253,28 @@ def chromatic_bounds(
 
 
 def _greedy_upper(adj: Sequence[Sequence[int]]) -> int:
+    """Colours used by greedy DSATUR without backtracking: the vertex with
+    the most neighbour colours, then the highest degree, then the lowest
+    index goes next (lazy heap) and takes its lowest free colour."""
     n = len(adj)
     colors = [-1] * n
     neighbor_colors = [set() for _ in range(n)]
+    heap = [(0, -len(adj[v]), v) for v in range(n)]
+    heapq.heapify(heap)
     used = 0
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (len(neighbor_colors[u]), len(adj[u])),
-        )
+    while heap:
+        neg_sat, _neg_deg, v = heapq.heappop(heap)
+        if colors[v] >= 0 or -neg_sat != len(neighbor_colors[v]):
+            continue
         c = 0
         while c in neighbor_colors[v]:
             c += 1
         colors[v] = c
         used = max(used, c + 1)
         for w in adj[v]:
-            if colors[w] < 0:
+            if colors[w] < 0 and c not in neighbor_colors[w]:
                 neighbor_colors[w].add(c)
+                heapq.heappush(heap, (-len(neighbor_colors[w]), -len(adj[w]), w))
     return used
 
 

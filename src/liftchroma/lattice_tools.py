@@ -14,14 +14,14 @@ maximiser xhat, and det(H|_V) = det(U^T H U) / det(U^T U) for any basis
 matrix U of V (basis-independent).
 
 The determinants are exact, and never take per-entry Fraction arithmetic.
-kernel_basis row-reduces D in integers (each row divided by its gcd) and
-returns primitive integer kernel vectors; det_restricted scales a rational
-H by the lcm L of its denominators, forms U^T (L H) U and U^T U over the
-nonzero entries in Python ints and finishes both with fraction-free Bareiss
-elimination, as do tau (reduced Laplacians) and fraction_det.  The results
-are exact rationals (float determinants lose integrality already around
-k = 5), so the estimator takes only a rational Hessian and refuses a float
-one.
+kernel_basis needs no elimination: for a bipartite gamma, ker D is the
+even-cycle space, spanned by the +-1 fundamental cycles of a spanning
+forest of gamma.  det_restricted scales a rational H by the lcm L of its
+denominators, forms U^T (L H) U and U^T U over the nonzero entries in
+Python ints and finishes both with fraction-free Bareiss elimination, as
+do tau (reduced Laplacians) and fraction_det.  The results are exact
+rationals (float determinants lose integrality already around k = 5), so
+the estimator takes only a rational Hessian and refuses a float one.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .asymptotics import LogValue, lambdas, log_gamma_nk
 from .base_graph import BaseGraph, connected_components
 from .errors import DomainError, SingularHessianError, TooLargeError
 from .moments_exact import margin_tables
+from .stochastic_opt import F_A
 
 DEFAULT_LATTICE_CAP = 10**7
 
@@ -72,15 +73,6 @@ class ConstraintGraph:
 
     def is_bipartite(self) -> bool:
         return all(bipartite for _, bipartite in self._components())
-
-
-def incidence_unsigned(gamma: ConstraintGraph) -> np.ndarray:
-    """|V| x |E| 0/1 incidence matrix (orientation-free)."""
-    d = np.zeros((gamma.num_vertices, gamma.num_edges), dtype=np.int64)
-    for e, (u, v) in enumerate(gamma.edges):
-        d[u, e] = 1
-        d[v, e] = 1
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -138,61 +130,50 @@ def _nonzeros(mat: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
     return [[(j, x) for j, x in enumerate(row) if x] for row in mat]
 
 
-def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
-    """prow[col] * row - row[col] * prow, zeros dropped, divided by its gcd."""
-    f, pv = row[col], prow[col]
-    out = {j: x * pv for j, x in row.items()}
-    for j, y in prow.items():
-        out[j] = out.get(j, 0) - f * y
-    out = {j: x for j, x in out.items() if x}
-    g = math.gcd(*out.values())
-    return {j: x // g for j, x in out.items()} if g > 1 else out
+def kernel_basis(gamma: ConstraintGraph) -> list[list[int]]:
+    """Basis of ker(D), D the unsigned incidence matrix of a bipartite
+    gamma, as a list of |E| rows of r ints whose *columns* are the basis.
 
-
-def kernel_basis(d_matrix: np.ndarray) -> list[list[int]]:
-    """Integer basis of ker(D) as a matrix whose *columns* are the basis.
-
-    Fraction-free Gauss-Jordan elimination on sparse integer rows, each
-    divided by its gcd, with positive pivots.  A reduced row with pivot p at
-    column c is p times the matching row of the rational RREF, so each
-    free column f gives the kernel vector x_f = 1, x_c = -row[f] / p; it
-    is returned as the primitive integer vector in that direction.
-    Returned as a list of rows (length = #columns of D), each row a list of
-    ints, with r columns.
+    ker(D) is the even-cycle space.  A breadth-first spanning forest leaves
+    r = |E| - |V| + #components edges out, and each of them gives one
+    vector: +1 on that edge, then -1, +1, ... along the tree path that
+    closes its cycle, so every vertex on the cycle sees one +1 and one -1.
+    An edge outside the forest whose ends lie at depths of equal parity
+    closes an odd cycle and raises DomainError.
     """
-    cols = d_matrix.shape[1]
-    todo = [{j: int(x) for j, x in enumerate(row) if x} for row in d_matrix.tolist()]
-    reduced: list[tuple[int, dict[int, int]]] = []
-    for col in range(cols):
-        k = next((i for i, row in enumerate(todo) if col in row), None)
-        if k is None:
-            continue
-        prow = todo.pop(k)
-        if prow[col] < 0:
-            prow = {j: -x for j, x in prow.items()}
-        reduced = [(c, _eliminate(row, prow, col) if col in row else row) for c, row in reduced]
-        todo = [_eliminate(row, prow, col) if col in row else row for row in todo]
-        reduced.append((col, prow))
-    pivot_cols = {c for c, _ in reduced}
-    free_entries: dict[int, list[tuple[int, int, int]]] = {
-        f: [] for f in range(cols) if f not in pivot_cols
-    }
-    for c, row in reduced:
-        for j, x in row.items():
-            if j != c:
-                free_entries[j].append((c, x, row[c]))
-    basis = []
-    for f, entries in free_entries.items():
-        scale = math.lcm(*(p for _, _, p in entries))
-        vec = {f: scale}
-        for c, x, p in entries:
-            vec[c] = -x * (scale // p)
-        g = math.gcd(*vec.values())
-        basis.append({j: x // g for j, x in vec.items()})
-    out = [[0] * len(basis) for _ in range(cols)]
-    for b, vec in enumerate(basis):
-        for j, x in vec.items():
-            out[j][b] = x
+    size = gamma.num_vertices
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for e, (u, v) in enumerate(gamma.edges):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    depth = [-1] * size
+    up = [(-1, -1)] * size  # (parent, edge to it) in the forest
+    for root in range(size):
+        if depth[root] < 0:
+            depth[root] = 0
+            queue = [root]
+            for u in queue:
+                for v, e in adj[u]:
+                    if depth[v] < 0:
+                        depth[v], up[v] = depth[u] + 1, (u, e)
+                        queue.append(v)
+    tree = {e for _, e in up}
+    outside = [e for e in range(gamma.num_edges) if e not in tree]
+    out = [[0] * len(outside) for _ in gamma.edges]
+    for b, e in enumerate(outside):
+        u, v = gamma.edges[e]
+        if depth[u] % 2 == depth[v] % 2:
+            raise DomainError("constraint graph has an odd cycle; gamma must be bipartite")
+        # Climb from both ends to their lowest common ancestor; on each side
+        # the edge at the end takes -1 and the signs alternate upwards.
+        out[e][b] = 1
+        (x, sx), (y, sy) = (u, -1), (v, -1)
+        while x != y:
+            if depth[x] < depth[y]:
+                (x, sx), (y, sy) = (y, sy), (x, sx)
+            x, e_up = up[x]
+            out[e_up][b] = sx
+            sx = -sx
     return out
 
 
@@ -381,8 +362,6 @@ def laplace_estimate(
                 "maximiser must lie strictly inside the box; boundary maximisers "
                 "are unsupported"
             )
-    if not gamma.is_bipartite():
-        raise DomainError("Laplace estimate implemented for bipartite gamma only")
     # Constraint consistency at the maximiser, in integers over one common
     # denominator.  Column e of D is +1 at both ends of edge e.
     xhat = [Fraction(x) for x in problem.xhat]
@@ -396,7 +375,7 @@ def laplace_estimate(
     if lhs != [v.numerator * (scale // v.denominator) for v in y]:
         raise DomainError("xhat does not satisfy D x = y")
 
-    u = kernel_basis(incidence_unsigned(gamma))
+    u = kernel_basis(gamma)
     r = len(u[0]) if u else 0
     if r == 0:
         raise DomainError("constraint kernel is trivial; no lattice to sum over")
@@ -559,8 +538,6 @@ def build_ey2_problem(g: BaseGraph, k: int) -> LatticeProblem:
     objective after the per-edge sums were integrated out, and the scale
     c_n carries the saddle-point constant gamma(n, k).
     """
-    from .stochastic_opt import F_A
-
     d = g.degree
     gamma = build_gamma_a(g, k)
     nv, ne = g.num_vertices, g.num_edges

@@ -21,10 +21,10 @@ per base vertex, by one forward dynamic programme over the vertices in
 index order (variable elimination along a path decomposition).  The state
 after vertex t maps the histograms of the frontier (placed vertices with a
 neighbour still to place) to the summed weight of every assignment of
-vertices 0..t agreeing with them; the edge counts come from one h x h
-integer matrix, so M is computed h^2 times whatever the base.  The cost
-follows the frontier, not h^|V|: on a cycle a layer holds at most h^2
-states.  ``profile_cap`` bounds the work done, counted as transitions
+vertices 0..t agreeing with them; the edge counts come from one symmetric
+h x h integer matrix, so M is computed h(h+1)/2 times whatever the base.
+The cost follows the frontier, not h^|V|: on a cycle a layer holds at most
+h^2 states.  ``profile_cap`` bounds the work done, counted as transitions
 (states entering a layer times h, summed over the layers) and checked
 before each layer runs: about 1.0e5 for E[X] and 1.2e5 for E[Y^2] on K4
 with n=6, k=3, 4.6e4 for E[X] on Petersen with n=2, k=3, and 8.5e5 with
@@ -230,41 +230,41 @@ def frontier_sum(
     of the vertex weights weight(key) times edge_count(tail, head) over the
     edges, by the frontier programme of the module docstring: placing
     vertex t with index i multiplies a state's weight by weights[i] and by
-    W[s_u][i] or W[i][s_u] for each edge back to a frontier vertex u, W the
-    h x h matrix of edge counts.  Past ``cap`` transitions in all, or
-    LAYER_CAP in one layer, it raises ``refuse``, the caller's error.
-    ``canonical``, if given, maps each state to the representative its
-    value is summed into.
+    W[s_u][i] for each edge back to a frontier vertex u, W the h x h matrix
+    of edge counts.  ``edge_count`` must be symmetric, as every caller's is
+    (M(x, y) = M(y, x): transposing a table swaps its margins), so an
+    edge's orientation does not matter and one triangle of W is computed.
+    Past ``cap`` transitions in all, or LAYER_CAP in one layer, it raises
+    ``refuse``, the caller's error.  ``canonical``, if given, maps each
+    state to the representative its value is summed into.
     """
     # h + h^2 is the first two layers if vertex 0 has a later neighbour, and
     # bounds the h x h matrix: list at most isqrt(first) + 1 keys, where h^2
-    # alone passes the cap, and refuse before the h*h edge counts.
+    # alone passes the cap, and refuse before computing any edge count.
     first = min(cap, LAYER_CAP)
     keys = list(itertools.islice(keys, math.isqrt(first) + 1))
     h = len(keys)
     if h + h * h > first:
         raise refuse(f"{h + h * h} histogram transitions exceed cap {first}")
     weights = [weight(key) for key in keys]
-    rows = [[edge_count(a, b) for b in keys] for a in keys]
-    cols = [list(col) for col in zip(*rows)]
-    # Per orientation of an edge back from t to u: the dense factors, and
-    # the nonzero ones already times weights[i], indexed by u's histogram.
-    # Edge u -> t multiplies by W[s_u][i] (a row of W), t -> u by W[i][s_u].
-    sides = [
-        (dense, [[(i, w * weights[i]) for i, w in enumerate(line) if w] for line in dense])
-        for dense in (cols, rows)
-    ]
+    dense = [[0] * h for _ in range(h)]
+    for a in range(h):
+        for b in range(a, h):
+            dense[a][b] = dense[b][a] = edge_count(keys[a], keys[b])
+    # Per histogram of a frontier vertex u: the nonzero factors W[s_u][i],
+    # already times weights[i].
+    sparse = [[(i, w * weights[i]) for i, w in enumerate(line) if w] for line in dense]
     # A vertex with no edge back to the frontier may take any histogram.
     unconstrained = list(enumerate(weights))
 
     # last[u]: u's latest neighbour in the order (u itself if none is later);
-    # back[t]: t's edges to earlier vertices u, and whether u is the tail.
+    # back[t]: the earlier ends u of t's edges.
     last = list(range(g.num_vertices))
-    back: list[list[tuple[int, bool]]] = [[] for _ in last]
+    back: list[list[int]] = [[] for _ in last]
     for tail, head in g.edges:
         u, t = min(tail, head), max(tail, head)
         last[u] = max(last[u], t)
-        back[t].append((u, u == tail))
+        back[t].append(u)
 
     frontier: list[int] = []
     states: dict[tuple[int, ...], int] = {(): 1}
@@ -277,9 +277,7 @@ def frontier_sum(
         if layer > LAYER_CAP:
             raise refuse(f"{layer} histogram transitions in one layer exceed cap {LAYER_CAP}")
         pos = {u: p for p, u in enumerate(frontier)}
-        edges = [(pos[u], sides[u_is_tail]) for u, u_is_tail in back[t]]
-        if edges:
-            lead, (_, sparse) = edges[0]
+        edges = [pos[u] for u in back[t]]
         keep = [p for p, u in enumerate(frontier) if last[u] > t]
         frontier = [frontier[p] for p in keep]
         grows = last[t] > t
@@ -287,8 +285,8 @@ def frontier_sum(
             frontier.append(t)
         nxt: dict[tuple[int, ...], int] = {}
         for s, value in states.items():
-            candidates = sparse[s[lead]] if edges else unconstrained
-            factors = [dense[s[p]] for p, (dense, _) in edges[1:]]
+            candidates = sparse[s[edges[0]]] if edges else unconstrained
+            factors = [dense[s[p]] for p in edges[1:]]
             kept = tuple(s[p] for p in keep)
             for i, f in candidates:
                 for row in factors:

@@ -33,7 +33,6 @@ from liftchroma.lattice_tools import (
     build_ey_problem,
     det_restricted,
     gamma_b_component,
-    incidence_unsigned,
     kernel_basis,
     laplace_estimate,
     random_unimodular,
@@ -124,7 +123,7 @@ def test_criterion_05_restricted_hessian(k3, k4):
     ok = True
     for g in (k3, k4):
         gamma_b = build_ey_problem(g, 3).gamma
-        u1 = kernel_basis(incidence_unsigned(gamma_b))
+        u1 = kernel_basis(gamma_b)
         r = len(u1[0])
         t = random_unimodular(r, rng)
         u2 = [[sum(row[a] * t[a][b] for a in range(r)) for b in range(r)] for row in u1]
@@ -136,7 +135,7 @@ def test_criterion_05_restricted_hessian(k3, k4):
             ok &= det_restricted(scaled_identity, u) == Fraction(6) ** r
 
         problem = build_ey2_problem(g, 3)
-        ua = kernel_basis(incidence_unsigned(problem.gamma))
+        ua = kernel_basis(problem.gamma)
         ra = len(ua[0])
         ta = random_unimodular(ra, rng)
         ua2 = [

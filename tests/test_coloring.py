@@ -15,7 +15,12 @@ from conftest import (
     six_cycle_lift,
 )
 from liftchroma import coloring, moments_exact
-from liftchroma.base_graph import connected_components, make_complete_graph
+from liftchroma.base_graph import (
+    BaseGraph,
+    connected_components,
+    make_complete_graph,
+    make_cycle_graph,
+)
 from liftchroma.coloring import (
     EquitableSpec,
     _Budget,
@@ -332,6 +337,41 @@ def test_chromatic_bounds_bracket(k4):
     lo, hi = chromatic_bounds(lg)
     assert lo <= chromatic_number(lg) <= hi
     assert (lo, hi) == (3, 3)
+
+
+def _oracle_greedy_upper(adj):
+    """The quadratic scan that the lazy heap of _greedy_upper replaced."""
+    n = len(adj)
+    colors = [-1] * n
+    neighbor_colors = [set() for _ in range(n)]
+    used = 0
+    for _ in range(n):
+        v = max(
+            (u for u in range(n) if colors[u] < 0),
+            key=lambda u: (len(neighbor_colors[u]), len(adj[u])),
+        )
+        c = 0
+        while c in neighbor_colors[v]:
+            c += 1
+        colors[v] = c
+        used = max(used, c + 1)
+        for w in adj[v]:
+            if colors[w] < 0:
+                neighbor_colors[w].add(c)
+    return used
+
+
+def test_greedy_upper_equals_scan_oracle(k4, petersen):
+    # two disjoint K4s, and cycles, whose lifts always split into components
+    two_k4 = BaseGraph(8, k4.edges + tuple((u + 4, v + 4) for u, v in k4.edges))
+    bases = (two_k4, make_cycle_graph(5), petersen, make_complete_graph(6))
+    components = 0
+    for b, base in enumerate(bases):
+        for n in (1, 2, 3, 7, 20, 40):
+            adj = expand(sample_lift(base, n, 100 * b + n)).simple_adjacency
+            components += len(connected_components(adj)) > 1
+            assert coloring._greedy_upper(adj) == _oracle_greedy_upper(adj)
+    assert components >= 6  # at least every lift of the two K4s
 
 
 # ---------------------------------------------------------------------------

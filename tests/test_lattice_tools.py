@@ -21,7 +21,6 @@ from liftchroma.lattice_tools import (
     enumerate_lattice_points,
     fraction_det,
     gamma_b_component,
-    incidence_unsigned,
     kernel_basis,
     laplace_estimate,
     random_unimodular,
@@ -31,25 +30,35 @@ from liftchroma.lattice_tools import (
 from liftchroma.moments_exact import proper_matching_count
 
 
+def _incidence(gamma: ConstraintGraph) -> np.ndarray:
+    """|V| x |E| unsigned incidence matrix D, straight from the edge list."""
+    d = np.zeros((gamma.num_vertices, gamma.num_edges), dtype=np.int64)
+    for e, (u, v) in enumerate(gamma.edges):
+        d[u, e] = d[v, e] = 1
+    return d
+
+
 def test_incidence_single_edge():
     gamma = ConstraintGraph(2, ((0, 1),))
-    assert incidence_unsigned(gamma).tolist() == [[1], [1]]
+    assert _incidence(gamma).tolist() == [[1], [1]]
+    assert kernel_basis(gamma) == [[]]
 
 
 def test_incidence_rank(k3):
     gamma = build_gamma_b(k3, 3)
-    d = incidence_unsigned(gamma)
+    d = _incidence(gamma)
     assert d.shape == (18, 18)
     # nullity = |E_Gamma| - rank = 18 - (|V_Gamma| - #components) = 18 - 15
-    assert len(kernel_basis(d)[0]) == 3
+    assert np.linalg.matrix_rank(d) == 15
+    assert len(kernel_basis(gamma)[0]) == 3
 
 
 def test_kernel_dimensions(k3, k4):
-    assert len(kernel_basis(incidence_unsigned(build_gamma_b(k3, 3)))[0]) == 3
-    assert len(kernel_basis(incidence_unsigned(build_gamma_a(k4, 3)))[0]) == 16
+    assert len(kernel_basis(build_gamma_b(k3, 3))[0]) == 3
+    assert len(kernel_basis(build_gamma_a(k4, 3))[0]) == 16
     # a tree has trivial kernel
     tree = ConstraintGraph(3, ((0, 1), (1, 2)))
-    basis = kernel_basis(incidence_unsigned(tree))
+    basis = kernel_basis(tree)
     assert all(len(row) == 0 for row in basis)
 
 
@@ -124,7 +133,7 @@ def test_det_restricted_identity():
 def test_det_restricted_scaled_identity_exact(k3, k4):
     for g, k in [(k3, 3), (k4, 3)]:
         gamma = build_gamma_b(g, k)
-        u = kernel_basis(incidence_unsigned(gamma))
+        u = kernel_basis(gamma)
         r = len(u[0])
         scale = k * (k - 1)
         h = [
@@ -137,7 +146,7 @@ def test_det_restricted_scaled_identity_exact(k3, k4):
 
 def test_det_restricted_basis_invariance(k3):
     gamma = build_gamma_b(k3, 3)
-    u = kernel_basis(incidence_unsigned(gamma))
+    u = kernel_basis(gamma)
     rng = np.random.default_rng(5)
     t = random_unimodular(len(u[0]), rng)
     u2 = [
@@ -174,7 +183,7 @@ def test_gamma_b_cyclic_solution_consistent(k3):
     # x with mass 1/k on the colour cycle (i -> i+1) solves D x = (1/k, ...)
     k = 3
     gamma = build_gamma_b(k3, k)
-    d = incidence_unsigned(gamma)
+    d = _incidence(gamma)
     x = np.zeros(gamma.num_edges)
     for idx, (tail, head) in enumerate(gamma.edges):
         # block e has tail-colour vertices 2ke + i and head-colour 2ke + k + i2
@@ -198,7 +207,7 @@ def test_laplace_matches_closed_forms(k3, k4):
 def test_restricted_hessian_reproduces_h_factor(k3, k4):
     for g in (k3, k4):
         problem = build_ey2_problem(g, 3)
-        u = kernel_basis(incidence_unsigned(problem.gamma))
+        u = kernel_basis(problem.gamma)
         neg_h = [[-x for x in row] for row in problem.hessian_at_xhat]
         val = det_restricted(neg_h, u)
         assert float(val) == pytest.approx(h_dk(g, 3) ** 4, rel=1e-9)
@@ -365,7 +374,7 @@ def test_lattice_enumeration_counts():
     problem = _single_edge_problem(3)
     points = list(enumerate_lattice_points(problem, 30))
     assert len(points) == 11  # q + 1 with q = 10
-    d = incidence_unsigned(problem.gamma)
+    d = _incidence(problem.gamma)
     for p in points:
         assert all(
             sum(Fraction(int(c)) * x for c, x in zip(row, p)) == Fraction(1, 3)
@@ -462,12 +471,12 @@ def _criterion_5_cases(k3, k4):
     rng = np.random.default_rng(17)
     for g in (k3, k4):
         gamma_b = build_ey_problem(g, 3).gamma
-        u1 = kernel_basis(incidence_unsigned(gamma_b))
+        u1 = kernel_basis(gamma_b)
         u2 = _transformed(u1, rng)
         size = gamma_b.num_edges
         scaled_identity = [[6 if i == j else 0 for j in range(size)] for i in range(size)]
         problem = build_ey2_problem(g, 3)
-        ua = kernel_basis(incidence_unsigned(problem.gamma))
+        ua = kernel_basis(problem.gamma)
         ua2 = _transformed(ua, rng)
         neg_h = [[-x for x in row] for row in problem.hessian_at_xhat]
         yield from ((scaled_identity, u1), (scaled_identity, u2), (neg_h, ua), (neg_h, ua2))
@@ -485,23 +494,92 @@ def test_det_restricted_equals_fraction_oracle_criterion_5(k3, k4):
 def test_exact_path_equals_fraction_oracles(name, which, request):
     g = request.getfixturevalue(name)
     problem = (build_ey_problem if which == "EY" else build_ey2_problem)(g, 3)
-    d = incidence_unsigned(problem.gamma)
-    u = kernel_basis(d)
-    assert u == _oracle_kernel_basis(d)
-    ds = d.copy()  # signed: -1 at each edge's head
-    ds[[v for _, v in problem.gamma.edges], range(problem.gamma.num_edges)] = -1
-    assert kernel_basis(ds) == _oracle_kernel_basis(ds)
+    u = kernel_basis(problem.gamma)
+    _assert_cycle_space_basis(problem.gamma, u)
     h = problem.hessian_at_xhat
     assert det_restricted(h, u) == _oracle_det_restricted(h, u)
 
 
-def test_kernel_basis_equals_oracle_random_matrices():
+def _assert_cycle_space_basis(gamma: ConstraintGraph, u) -> None:
+    """U has r = |E| - |V| + c columns with entries in {-1, 0, 1}, D U = 0,
+    det(U^T U) != 0, and U spans the same space as the oracle's basis."""
+    d = _incidence(gamma)
+    r = gamma.num_edges - gamma.num_vertices + len(gamma.components())
+    assert len(u) == gamma.num_edges and all(len(row) == r for row in u)
+    uu = np.array(u, dtype=np.int64).reshape(gamma.num_edges, r)
+    assert set(uu.flat) <= {-1, 0, 1}
+    assert not (d @ uu).any()
+    assert bareiss_det((uu.T @ uu).tolist()) != 0
+    oracle = _oracle_kernel_basis(d)
+    assert all(len(row) == r for row in oracle)
+    oracle = np.array(oracle, dtype=np.int64).reshape(gamma.num_edges, r)
+    # An oracle vector's last nonzero sits on its free column, where every
+    # other oracle vector is 0; so U lies in the oracle's span iff U = O C
+    # with C read off those rows.  Scaled by L to stay in integers.
+    free = [int(np.flatnonzero(oracle[:, b])[-1]) for b in range(r)]
+    pivots = [int(oracle[f, b]) for b, f in enumerate(free)]
+    scale = math.lcm(*pivots)
+    coeffs = uu[free] * np.array([scale // p for p in pivots], dtype=np.int64)[:, None]
+    assert (oracle @ coeffs == scale * uu).all()
+
+
+@pytest.mark.parametrize("name", ["k3", "k4", "k5", "petersen"])
+def test_kernel_basis_moment_constraint_graphs(name, request):
+    g = request.getfixturevalue(name)
+    for k in (3, 4, 5):
+        for build in (build_gamma_b, build_gamma_a):
+            gamma = build(g, k)
+            _assert_cycle_space_basis(gamma, kernel_basis(gamma))
+
+
+def test_kernel_basis_random_bipartite_multigraphs():
+    # random sides, shuffled labels, parallel edges, forests and isolated
+    # vertices; the counters check that each kind came up
     rng = np.random.default_rng(3)
+    seen = {"parallel": 0, "forest": 0, "isolated": 0}
     for _ in range(200):
-        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 8))
-        d = rng.integers(-3, 4, size=(rows, cols))
-        d[:, rng.random(cols) < 0.3] = 0
-        assert kernel_basis(d) == _oracle_kernel_basis(d)
+        left, right = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        size = left + right + int(rng.integers(0, 3))
+        label = rng.permutation(size).tolist()
+        edges = tuple(
+            (label[int(rng.integers(0, left))], label[left + int(rng.integers(0, right))])
+            for _ in range(int(rng.integers(1, 10)))
+        )
+        gamma = ConstraintGraph(size, edges)
+        u = kernel_basis(gamma)
+        _assert_cycle_space_basis(gamma, u)
+        seen["parallel"] += len(set(edges)) < len(edges)
+        seen["forest"] += len(u[0]) == 0
+        seen["isolated"] += len({v for e in edges for v in e}) < size
+    assert all(seen.values()), seen
+
+
+def test_kernel_basis_refuses_odd_cycle():
+    triangle = ConstraintGraph(3, ((0, 1), (1, 2), (2, 0)))
+    # a double edge beside a 5-cycle whose closing edge comes last
+    pentagon = ConstraintGraph(7, ((0, 1), (0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (6, 2)))
+    for gamma in (triangle, pentagon):
+        with pytest.raises(DomainError, match="odd cycle"):
+            kernel_basis(gamma)
+
+
+def test_restricted_hessian_determinants_pinned(k4, petersen):
+    # det(-H|_V) at k = 3 is basis-independent: every kernel basis gives these
+    pinned = {
+        ("k4", "EY"): Fraction(46656),
+        ("k4", "EY2"): Fraction(717161962380101833793273856, 152587890625),
+        ("petersen", "EY"): Fraction(470184984576),
+        ("petersen", "EY2"): Fraction(
+            57489624421544871763796867609944842574904022075621255617882615709696,
+            9094947017729282379150390625,
+        ),
+    }
+    for (name, which), want in pinned.items():
+        g = k4 if name == "k4" else petersen
+        problem = (build_ey_problem if which == "EY" else build_ey2_problem)(g, 3)
+        u = kernel_basis(problem.gamma)
+        neg_h = [[-x for x in row] for row in problem.hessian_at_xhat]
+        assert det_restricted(neg_h, u) == want
 
 
 def test_determinants_equal_oracle_random_matrices():

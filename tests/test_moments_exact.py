@@ -426,6 +426,17 @@ def test_matching_counts_equal_recursive_oracle():
             )
 
 
+def test_matching_counts_symmetric():
+    # frontier_sum fills its edge matrix from one triangle, which needs
+    # M(x, y) = M(y, x) on every pair of keys
+    for n, k in [(2, 3), (3, 3), (6, 3), (4, 4), (5, 2)]:
+        for x, y in itertools.combinations(compositions(n, k), 2):
+            assert proper_matching_count(x, y) == proper_matching_count(y, x)
+    for k, q in [(2, 3), (3, 1), (3, 2), (4, 1)]:
+        for x, y in itertools.combinations(_doubly_stochastic_tables(k, q), 2):
+            assert proper_pair_matching_count(x, y) == proper_pair_matching_count(y, x)
+
+
 @pytest.mark.parametrize("k,q", [(2, 4), (3, 2), (3, 3), (4, 2)])
 def test_doubly_stochastic_tables_same_order_as_oracle(k, q):
     assert list(_doubly_stochastic_tables(k, q)) == _oracle_doubly_stochastic_tables(k, q)
