@@ -131,17 +131,13 @@ def sscm_constants(g: BaseGraph, k: int, J: int) -> SscmConstants:
 
 
 def log_c1(g: BaseGraph, k: int) -> float:
+    """log of the first-moment prefactor C1."""
     if k < 3:
         raise ValueError("k must be >= 3")
     nv, ne = g.num_vertices, g.num_edges
     return (k * nv / 2) * math.log(k) + ((k - 1) * ne / 2) * math.log(
         (k - 1) ** 2 / (k * (k - 2))
     )
-
-
-def c1(g: BaseGraph, k: int) -> float:
-    """First-moment prefactor C1."""
-    return math.exp(log_c1(g, k))
 
 
 def log_h_dk(g: BaseGraph, k: int) -> float:
@@ -165,6 +161,8 @@ def h_dk(g: BaseGraph, k: int) -> float:
 
 
 def log_c2(g: BaseGraph, k: int) -> float:
+    """log of the second-moment prefactor C2; its role as the E[Y^2]
+    prefactor also needs d < ell_k, which ey2_asym enforces."""
     if k < 3:
         raise ValueError("k must be >= 3")
     lam, lamp = lambdas(k)
@@ -178,15 +176,6 @@ def log_c2(g: BaseGraph, k: int) -> float:
     )
 
 
-def c2(g: BaseGraph, k: int) -> float:
-    """Second-moment prefactor C2.
-
-    Computed whenever the h-factors are positive; its role as the E[Y^2]
-    prefactor additionally needs d < ell_k, which ey2_asym enforces.
-    """
-    return math.exp(log_c2(g, k))
-
-
 @dataclass(frozen=True)
 class IdentityCheck:
     """Both sides of the variance identity log(C2/C1^2) = sum lambda_j delta_j^2."""
@@ -196,6 +185,7 @@ class IdentityCheck:
     gap: float
     closed_form: float
     J: int
+    tail_bound: float  # bound on the series tail past J; the gap should not exceed it
 
 
 def variance_series_terms(g: BaseGraph, k: int, J: int) -> list[float]:
@@ -270,15 +260,9 @@ def sscm_identity_check(g: BaseGraph, k: int, J: int | None = None) -> IdentityC
         - log_prod
     )
     return IdentityCheck(
-        lhs=lhs, partial=partial, gap=abs(lhs - partial), closed_form=closed, J=J
+        lhs=lhs, partial=partial, gap=abs(lhs - partial), closed_form=closed, J=J,
+        tail_bound=_series_tail_bound(g, k, J),
     )
-
-
-def cycle_colorings(j: int, k: int) -> int:
-    """Proper k-colourings of a rooted, directed j-cycle: (k-1)^j + (k-1)(-1)^j."""
-    if j < 3 or k < 2:
-        raise ValueError("need j >= 3 and k >= 2")
-    return (k - 1) ** j + (k - 1) * (-1) ** j
 
 
 def log_rate(g: BaseGraph, k: int) -> float:

@@ -146,13 +146,6 @@ def adjacency_spectrum(g: BaseGraph) -> tuple[float, ...]:
     return eig_desc
 
 
-def format_graph_text(g: BaseGraph) -> str:
-    """Text format: first line "V E", then one "tail head" line per edge."""
-    lines = [f"{g.num_vertices} {g.num_edges}"]
-    lines.extend(f"{t} {h}" for t, h in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def parse_edge_list(text: str) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The vertex count and edges written in the text format, unchecked."""
     tokens = text.split()
@@ -163,10 +156,6 @@ def parse_edge_list(text: str) -> tuple[int, tuple[tuple[int, int], ...]]:
     if len(body) != 2 * ne:
         raise ValueError(f"expected {2 * ne} endpoint tokens, got {len(body)}")
     return nv, tuple((int(body[2 * i]), int(body[2 * i + 1])) for i in range(ne))
-
-
-def parse_graph_text(text: str) -> BaseGraph:
-    return BaseGraph(*parse_edge_list(text))
 
 
 _COMPLETE_RE = re.compile(r"^K(\d+)$")

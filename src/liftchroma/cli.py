@@ -113,6 +113,7 @@ def _cmd_sscm(args) -> None:
             "convergence_ratio": constants.convergence_ratio,
             "identity_gap": check.gap,
             "identity_J": check.J,
+            "identity_tail_bound": check.tail_bound,
             "log_C2_over_C1sq": check.lhs,
             **{name: _exp_or_none(log) for name, log in logs.items()},
             **{f"log_{name}": log for name, log in logs.items()},
@@ -209,6 +210,13 @@ def _cmd_campaign(args) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="liftchroma", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--q", type=int, default=4)
     p.add_argument("--c", type=float)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_opt_verify)
 

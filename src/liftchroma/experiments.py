@@ -191,6 +191,11 @@ def joint_ratio_estimate(
     return num / den if samples is None else float(num / den)
 
 
+def _int_at_least(value, least: int) -> bool:
+    """value is an int, never a bool, and value >= least."""
+    return type(value) is int and value >= least
+
+
 @dataclass
 class CampaignConfig:
     """Everything needed to replay a campaign bit-for-bit."""
@@ -206,14 +211,21 @@ class CampaignConfig:
     embed_timings: bool = False
 
     def validate_config(self) -> None:
-        if self.samples < 1:
-            raise InvalidConfigError("samples must be >= 1")
-        if self.seed is None:
-            raise InvalidConfigError("a master seed is required (no ambient entropy)")
+        """Raise InvalidConfigError unless every field has its type and range."""
+        if not _int_at_least(self.samples, 1):
+            raise InvalidConfigError(f"samples must be an integer >= 1, got {self.samples!r}")
+        if not _int_at_least(self.seed, 0):
+            raise InvalidConfigError(f"the master seed must be an integer >= 0, got {self.seed!r}")
+        if not (self.budget is None or _int_at_least(self.budget, 1)):
+            raise InvalidConfigError(f"budget must be null or an integer >= 1, got {self.budget!r}")
         if not self.n_values:
             raise InvalidConfigError("need at least one fiber size n")
-        if not all(isinstance(n, int) and n >= 1 for n in self.n_values):
+        if not all(_int_at_least(n, 1) for n in self.n_values):
             raise InvalidConfigError("fiber sizes n must be integers >= 1")
+        if not (self.k is None or type(self.k) is int):
+            raise InvalidConfigError(f"k must be null or an integer, got {self.k!r}")
+        if not self.statistics:
+            raise InvalidConfigError("need at least one statistic")
         for s in self.statistics:
             make_statistic(s, self.k)
 

@@ -19,9 +19,9 @@ even-cycle space, spanned by the +-1 fundamental cycles of a spanning
 forest of gamma.  det_restricted scales a rational H by the lcm L of its
 denominators, forms U^T (L H) U and U^T U over the nonzero entries in
 Python ints and finishes both with fraction-free Bareiss elimination, as
-do tau (reduced Laplacians) and fraction_det.  The results are exact
-rationals (float determinants lose integrality already around k = 5), so
-the estimator takes only a rational Hessian and refuses a float one.
+does tau (reduced Laplacians).  The results are exact rationals (float
+determinants lose integrality already around k = 5), so the estimator
+takes only a rational Hessian and refuses a float one.
 """
 
 from __future__ import annotations
@@ -29,17 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .asymptotics import LogValue, lambdas, log_gamma_nk
 from .base_graph import BaseGraph, connected_components
-from .errors import DomainError, SingularHessianError, TooLargeError
-from .moments_exact import margin_tables
+from .errors import DomainError, SingularHessianError
 from .stochastic_opt import F_A
-
-DEFAULT_LATTICE_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -117,12 +114,6 @@ def _clear_denominators(mat: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     except AttributeError:
         raise TypeError("exact determinants need int or Fraction entries") from None
     return [[x.numerator * (scale // x.denominator) for x in row] for row in mat], scale
-
-
-def fraction_det(mat: Sequence[Sequence]) -> Fraction:
-    """Exact determinant of a rational matrix: det(M) = det(L M) / L^n."""
-    ints, scale = _clear_denominators([[Fraction(x) for x in row] for row in mat])
-    return Fraction(bareiss_det(ints), scale ** len(ints))
 
 
 def _nonzeros(mat: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
@@ -232,22 +223,6 @@ def det_restricted(h_matrix, u_basis) -> Fraction:
     return Fraction(bareiss_det(uthu), gram * scale**r)
 
 
-def random_unimodular(size: int, rng) -> list[list[int]]:
-    """Product of a unit lower- and unit upper-triangular +-1 matrix."""
-    lower = [[0] * size for _ in range(size)]
-    upper = [[0] * size for _ in range(size)]
-    for i in range(size):
-        lower[i][i] = 1
-        upper[i][i] = int(rng.choice([-1, 1]))
-        for j in range(i):
-            lower[i][j] = int(rng.integers(-2, 3))
-            upper[j][i] = int(rng.integers(-2, 3))
-    return [
-        [sum(lower[i][t] * upper[t][j] for t in range(size)) for j in range(size)]
-        for i in range(size)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Constraint graphs for the moment sums
 
@@ -325,20 +300,18 @@ class LatticeProblem:
     phi subject to the constraints.  ``log_psi`` returns log psi, with -inf
     for psi = 0, so that psi(xhat) far outside the float range neither
     underflows to a zero estimate nor overflows.  ``hessian_at_xhat`` is the
-    Hessian of phi at xhat as a matrix of ints or Fractions.  The estimator
-    needs all four callbacks and the Hessian; the lattice enumeration needs
-    none of them.  Hypotheses on phi/psi regularity are the caller's
-    responsibility.
+    Hessian of phi at xhat as a matrix of ints or Fractions.  Hypotheses on
+    phi/psi regularity are the caller's responsibility.
     """
 
     gamma: ConstraintGraph
     y: tuple[Fraction, ...]
     box: tuple[tuple[Fraction, Fraction], ...]
     xhat: tuple[Fraction, ...]
-    phi: Callable[[np.ndarray], float] | None = None
-    log_psi: Callable[[np.ndarray], float] | None = None
-    log_c_n: Callable[[int], float] | None = None
-    hessian_at_xhat: object | None = None
+    phi: Callable[[np.ndarray], float]
+    log_psi: Callable[[np.ndarray], float]
+    log_c_n: Callable[[int], float]
+    hessian_at_xhat: Sequence[Sequence[int | Fraction]]
 
 
 def laplace_estimate(
@@ -352,10 +325,6 @@ def laplace_estimate(
     and ``det_path``, always "exact".
     """
     gamma = problem.gamma
-    if None in (problem.phi, problem.log_psi, problem.log_c_n, problem.hessian_at_xhat):
-        raise ValueError(
-            "laplace_estimate needs phi, log_psi and log_c_n callbacks and hessian_at_xhat"
-        )
     for (lo, hi), x in zip(problem.box, problem.xhat):
         if not lo < x < hi:
             raise DomainError(
@@ -403,84 +372,6 @@ def laplace_estimate(
         + n * problem.phi(xhat_float)
     )
     return LogValue(log=log_val, sign=1)
-
-
-# ---------------------------------------------------------------------------
-# Exact windowed sums
-
-
-def enumerate_lattice_points(
-    problem: LatticeProblem, n: int, cap: int = DEFAULT_LATTICE_CAP
-) -> Iterator[tuple[Fraction, ...]]:
-    """All x in box with n*x integral and D x = y, for bipartite gamma.
-
-    The points n*x are the integer tables on gamma's edges with line sums
-    n*y and cell bounds n*box, from moments_exact.margin_tables, with the
-    variables ordered by their lower endpoint so that each vertex's edges
-    come together.  Points are returned in gamma.edges order.
-    """
-    gamma = problem.gamma
-    if not gamma.is_bipartite():
-        raise DomainError("lattice enumeration implemented for bipartite gamma only")
-    ny = []
-    for rhs in problem.y:
-        val = Fraction(rhs) * n
-        if val.denominator != 1:
-            return  # no lattice points at this n
-        ny.append(int(val))
-    bounds = [
-        (math.ceil(Fraction(lo) * n), math.floor(Fraction(hi) * n)) for lo, hi in problem.box
-    ]
-    order = sorted(range(gamma.num_edges), key=lambda e: min(gamma.edges[e]))
-    cells = [gamma.edges[e] for e in order]
-    point: list[Fraction] = [Fraction(0)] * gamma.num_edges
-    for emitted, table in enumerate(margin_tables(ny, cells, [bounds[e] for e in order]), 1):
-        if emitted > cap:
-            raise TooLargeError(f"lattice enumeration exceeded cap {cap}")
-        for e, m in zip(order, table):
-            point[e] = Fraction(m, n)
-        yield tuple(point)
-
-
-@dataclass(frozen=True)
-class WindowedSum:
-    window_sum: Fraction
-    full_sum: Fraction
-    window_points: int
-    total_points: int
-    ratio: float
-
-
-def windowed_sum(
-    problem: LatticeProblem,
-    n: int,
-    gamma_window: float,
-    term: Callable[[tuple[Fraction, ...]], Fraction],
-    cap: int = DEFAULT_LATTICE_CAP,
-) -> WindowedSum:
-    """Sum `term` over all lattice points, and over the window of points
-    with ||x - xhat||_inf < gamma_window * log(n)/sqrt(n)."""
-    radius = gamma_window * math.log(n) / math.sqrt(n)
-    xhat = [Fraction(x) for x in problem.xhat]
-    full = Fraction(0)
-    window = Fraction(0)
-    total_points = 0
-    window_points = 0
-    for point in enumerate_lattice_points(problem, n, cap=cap):
-        val = Fraction(term(point))
-        full += val
-        total_points += 1
-        if all(abs(float(x - x0)) < radius for x, x0 in zip(point, xhat)):
-            window += val
-            window_points += 1
-    ratio = float(window / full) if full != 0 else float("nan")
-    return WindowedSum(
-        window_sum=window,
-        full_sum=full,
-        window_points=window_points,
-        total_points=total_points,
-        ratio=ratio,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,6 @@ class LiftedGraph:
                 adj[w].add(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
-    def degrees(self) -> list[int]:
-        return [len(a) for a in self.adjacency]
-
 
 def sample_lift(g: BaseGraph, n: int, rng) -> Lift:
     """Draw a uniform lift: one independent uniform permutation per edge.

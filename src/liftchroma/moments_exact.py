@@ -33,12 +33,12 @@ and no layer makes more than LAYER_CAP transitions.  The same loop,
 frontier_sum, with the k colours as keys (the histograms of 1-vertex
 fibers) is the proper colouring count of coloring.count_proper_colorings.
 
-One kernel, margin_tables, enumerates every table here (the tables of M
-and of its pair analogue, the pair histograms of E[Y^2]) and the lattice
-points of lattice_tools.enumerate_lattice_points.  It walks the allowed
-cells in a fixed order, depth first on an explicit stack, each cell taking
-its values in increasing order; the last cell on a row or column takes what
-is left of that line's margin.
+One kernel, margin_tables, enumerates every table here: the tables of M
+and of its pair analogue, the colour histograms of E[X] and the pair
+histograms of E[Y^2].  It walks the allowed cells in a fixed order, depth
+first on an explicit stack, each cell taking its values in increasing
+order; the last cell on a row or column takes what is left of that line's
+margin.
 """
 
 from __future__ import annotations
@@ -99,20 +99,17 @@ def multinomial(n: int, x: Sequence[int]) -> int:
 
 
 def margin_tables(
-    margins: Sequence[int],
-    cells: Sequence[tuple[int, int]],
-    bounds: Sequence[tuple[int, int]] | None = None,
+    margins: Sequence[int], cells: Sequence[tuple[int, int]]
 ) -> Iterator[tuple[int, ...]]:
     """Every nonnegative integer vector x over ``cells`` whose sum over the
     cells of each line equals that line's margin.
 
     Each cell (a, b) lies on two lines; a table with rows 0..R-1 and
     columns R..R+C-1 lists its allowed cells as (i, R + j), and repeated
-    cells are allowed.  ``bounds`` optionally gives each cell a closed
-    interval (lo, hi) for its value.  Tables come in lexicographic order of
-    x with cells in the given order: depth first, each cell taking its
-    values in increasing order, on an explicit stack.  The last cell of a
-    line takes whatever its line has left.
+    cells are allowed.  Tables come in lexicographic order of x with cells
+    in the given order: depth first, each cell taking its values in
+    increasing order, on an explicit stack.  The last cell of a line takes
+    whatever its line has left.
     """
     m = len(cells)
     rem = list(margins)
@@ -122,8 +119,6 @@ def margin_tables(
         lines[b].append(p)
     if any(r and not on_line for r, on_line in zip(rem, lines)):
         return
-    lows = [max(0, lo) for lo, _ in bounds] if bounds else [0] * m
-    highs = [hi for _, hi in bounds] if bounds else [sum(rem)] * m
     closes = [(lines[a][-1] == p, lines[b][-1] == p) for p, (a, b) in enumerate(cells)]
     x = [0] * m
     top = [0] * m
@@ -132,8 +127,8 @@ def margin_tables(
         while p < m:
             a, b = cells[p]
             ra, rb = rem[a], rem[b]
-            lo = lows[p]
-            hi = min(highs[p], ra, rb)
+            lo = 0
+            hi = min(ra, rb)
             close_a, close_b = closes[p]
             if close_a and ra > lo:
                 lo = ra
@@ -202,19 +197,6 @@ def proper_pair_matching_count(
 
     assert sum(rows) == sum(cols)
     return sum(_matching_weights(rows, cols, allowed))
-
-
-def histogram_pair_count(
-    g: BaseGraph, n: int, a_counts: Sequence[tuple[int, ...]]
-) -> int:
-    """Number of (lift, colouring) pairs whose per-fiber colour histogram is
-    exactly ``a_counts`` (integer counts per vertex)."""
-    weight = 1
-    for counts in a_counts:
-        weight *= multinomial(n, counts)
-    for tail, head in g.edges:
-        weight *= proper_matching_count(tuple(a_counts[tail]), tuple(a_counts[head]))
-    return weight
 
 
 def frontier_sum(
@@ -307,8 +289,9 @@ def expected_X_exact(
 ) -> Fraction:
     """E[X] where X counts proper k-colourings of a uniform n-lift.
 
-    Sums histogram_pair_count over all per-vertex colour histograms and
-    divides by the n!^{|E|} lifts.  Valid for any regular base graph.
+    Sums the (lift, colouring) pair count of every per-vertex colour
+    histogram (the module docstring's product) and divides by the n!^{|E|}
+    lifts.  Valid for any regular base graph.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")

@@ -38,26 +38,7 @@ from .thresholds import c_q, ell_threshold
 
 PROJECTION_TOL = 1e-10
 PROJECTION_MAX_ITERS = 10**3
-
-
-def _as_matrix(M) -> np.ndarray:
-    out = np.asarray(M, dtype=float)
-    if out.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    return out
-
-
-def validate_row_stochastic(M, tol: float = 1e-9) -> np.ndarray:
-    """M as a float array, checked to be a row-stochastic matrix or a
-    (..., q, k) stack of them."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim < 2:
-        raise ValueError("expected a matrix or a stack of matrices")
-    if np.any(M < -tol):
-        raise ValueError("negative entry in stochastic matrix")
-    if np.max(np.abs(M.sum(axis=-1) - 1.0)) > tol:
-        raise ValueError("row sums must equal 1")
-    return M
+STOCHASTIC_TOL = 1e-9  # how far an entry may fall below 0, or a row sum miss 1
 
 
 def xlogx(x: np.ndarray) -> np.ndarray:
@@ -69,15 +50,16 @@ def xlogx(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def rho(M) -> float:
-    """Sum of squared entries."""
-    M = _as_matrix(M)
-    return float(np.sum(M * M))
+def rho(M):
+    """Sum of squared entries of a matrix, or one sum per matrix of a
+    (..., q, k) stack."""
+    M = np.asarray(M, dtype=float)
+    return np.sum(M * M, axis=(-2, -1))
 
 
-def entropy_h(M) -> float:
-    """-sum m log m with 0 log 0 = 0."""
-    return float(-np.sum(xlogx(_as_matrix(M))))
+def entropy_h(M):
+    """-sum m log m with 0 log 0 = 0, per matrix like rho."""
+    return -np.sum(xlogx(M), axis=(-2, -1))
 
 
 def square_gap(M, c: float):
@@ -92,29 +74,6 @@ def square_gap(M, c: float):
     return rect_gap(M, c)
 
 
-def extend_matrix(M) -> np.ndarray:
-    """Extend a q x k row-stochastic matrix to q x q: first k columns scaled
-    by k/q, the remaining q-k columns filled with 1/q.
-
-    Asserts the two transform identities
-        rho(ext) = (k/q)((k/q) rho(M) - 1) + 1
-        log k - h(M)/q = (q/k)(log q - h(ext)/q)
-    before returning.
-    """
-    M = validate_row_stochastic(M)
-    q, k = M.shape
-    if q < k:
-        raise ValueError(f"need q >= k, got {q} x {k}")
-    ext = np.full((q, q), 1.0 / q)
-    ext[:, :k] = M * (k / q)
-    predicted_rho = (k / q) * ((k / q) * rho(M) - 1.0) + 1.0
-    assert abs(rho(ext) - predicted_rho) < 1e-10
-    lhs_ent = math.log(k) - entropy_h(M) / q
-    rhs_ent = (q / k) * (math.log(q) - entropy_h(ext) / q)
-    assert abs(lhs_ent - rhs_ent) < 1e-10
-    return ext
-
-
 def rect_coefficient_bound(q: int, k: int) -> float:
     """Largest admissible coefficient for the rectangular inequality."""
     return (k - 1) / (q - 1) * c_q(q)
@@ -123,10 +82,17 @@ def rect_coefficient_bound(q: int, k: int) -> float:
 def rect_gap(M, c: float):
     """RHS - LHS of the rectangular inequality; >= 0 when c is admissible.
 
-    M is one q x k matrix (a float is returned) or a (..., q, k) stack (an
-    array of gaps with the stack's shape is returned).
+    M is one q x k row-stochastic matrix (a float is returned) or a
+    (..., q, k) stack of them (an array of gaps with the stack's shape is
+    returned).
     """
-    M = validate_row_stochastic(M)
+    M = np.asarray(M, dtype=float)
+    if M.ndim < 2:
+        raise ValueError("expected a matrix or a stack of matrices")
+    if np.any(M < -STOCHASTIC_TOL):
+        raise ValueError("negative entry in stochastic matrix")
+    if np.max(np.abs(M.sum(axis=-1) - 1.0)) > STOCHASTIC_TOL:
+        raise ValueError("row sums must equal 1")
     q, k = M.shape[-2:]
     if q < 3 or k > q:
         raise ValueError(f"need q >= 3 and k <= q, got {q} x {k}")
@@ -135,56 +101,12 @@ def rect_gap(M, c: float):
             f"coefficient c = {c} is not below (k-1)/(q-1) c_q = "
             f"{rect_coefficient_bound(q, k)}"
         )
-    # LHS: h(M)/q + c log(kq - k - q + (k/q) rho(M)), one value per matrix
-    h = -np.sum(xlogx(M), axis=(-2, -1))
-    r = np.sum(M * M, axis=(-2, -1))
-    lhs = h / q + c * np.log(k * q - k - q + (k / q) * r)
+    lhs = entropy_h(M) / q + c * np.log(k * q - k - q + (k / q) * rho(M))
     return math.log(k) + c * math.log((q - 1) * (k - 1)) - lhs
-
-
-def rect_gap_second_form(M, c: float) -> float:
-    """The equivalent logarithm-ratio form of the rectangular inequality gap."""
-    M = validate_row_stochastic(M)
-    q, k = M.shape
-    return (
-        math.log(k)
-        - entropy_h(M) / q
-        - c * math.log1p(((k / q) * rho(M) - 1.0) / ((q - 1) * (k - 1)))
-    )
 
 
 # ---------------------------------------------------------------------------
 # Overlap functionals
-
-
-def f_ab(g: BaseGraph, a: np.ndarray, b: np.ndarray) -> float:
-    """First-moment overlap functional
-    f(a, b) = -sum_v sum_i a log a + sum_e sum_{i != i'} b log(a a' / b).
-
-    ``a`` has shape (|V|, k); ``b`` has shape (|E|, k, k) with the diagonal
-    (i, i) cells unused and required to be zero.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    k = a.shape[1]
-    total = -float(np.sum(xlogx(a)))
-    for e, (tail, head) in enumerate(g.edges):
-        for i in range(k):
-            if b[e, i, i] != 0:
-                raise ValueError(f"edge {e}: diagonal overlap b[{i},{i}] must be 0")
-            for i2 in range(k):
-                if i2 == i:
-                    continue
-                bev = b[e, i, i2]
-                if bev == 0:
-                    continue
-                prod = a[tail, i] * a[head, i2]
-                if prod <= 0:
-                    raise ValueError(
-                        f"edge {e}: b[{i},{i2}] > 0 but an endpoint fraction is 0"
-                    )
-                total += bev * math.log(prod / bev)
-    return total
 
 
 def _edge_z(g: BaseGraph, a: np.ndarray, check: bool = True) -> list[float]:
@@ -199,20 +121,9 @@ def _edge_z(g: BaseGraph, a: np.ndarray, check: bool = True) -> list[float]:
     return zs
 
 
-def b_star(g: BaseGraph, a: np.ndarray) -> np.ndarray:
-    """Per-edge maximiser of f in b for fixed a:
-    b*_{e,i,i'} = a_{v,i} a_{v',i'} / z_e with z_e = 1 - <a_v, a_v'>."""
-    a = np.asarray(a, dtype=float)
-    k = a.shape[1]
-    out = np.zeros((g.num_edges, k, k))
-    for e, ((tail, head), z) in enumerate(zip(g.edges, _edge_z(g, a))):
-        out[e] = np.outer(a[tail], a[head]) / z
-        np.fill_diagonal(out[e], 0.0)
-    return out
-
-
 def f_at_b_star(g: BaseGraph, a: np.ndarray) -> float:
-    """f(a, b*(a)) = h(a) + sum_e log(1 - <a_v, a_v'>)."""
+    """f(a, b*(a)) = h(a) + sum_e log(1 - <a_v, a_v'>): the first-moment
+    functional at its per-edge maximiser b*_{e,i,i'} = a_{v,i} a_{v',i'} / z_e."""
     a = np.asarray(a, dtype=float)
     total = -float(np.sum(xlogx(a)))
     for z in _edge_z(g, a):
@@ -228,44 +139,6 @@ def _f_grad(g: BaseGraph, a: np.ndarray) -> np.ndarray:
         grad[tail] -= a[head] / z
         grad[head] -= a[tail] / z
     return grad
-
-
-def g_of_a(a: np.ndarray, d: int, k: int) -> float:
-    """Upper envelope used for complete bases:
-    g(a) = h(a) + C(d+1, 2) log(1 - (d+1)/(dk) + rho(a)/(d(d+1)))."""
-    a = np.asarray(a, dtype=float)
-    h = -float(np.sum(xlogx(a)))
-    r = float(np.sum(a * a))
-    return h + math.comb(d + 1, 2) * math.log(
-        1.0 - (d + 1) / (d * k) + r / (d * (d + 1))
-    )
-
-
-def f_AB(g: BaseGraph, A: np.ndarray, B: np.ndarray) -> float:
-    """Second-moment overlap functional over pair profiles.
-
-    ``A`` has shape (|V|, k, k); ``B`` has shape (|E|, k, k, k, k) indexed
-    [e, i, j, i', j'], supported on i != i', j != j'.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    k = A.shape[1]
-    total = -float(np.sum(xlogx(A)))
-    for e, (tail, head) in enumerate(g.edges):
-        for i in range(k):
-            for j in range(k):
-                for i2 in range(k):
-                    for j2 in range(k):
-                        bev = B[e, i, j, i2, j2]
-                        if bev == 0:
-                            continue
-                        if i == i2 or j == j2:
-                            raise ValueError(
-                                "pair overlap supported outside the proper region"
-                            )
-                        prod = A[tail, i, j] * A[head, i2, j2]
-                        total += bev * math.log(prod / bev)
-    return total
 
 
 def F_A(g: BaseGraph, A: np.ndarray) -> float:

@@ -86,3 +86,20 @@ def enumerate_equitable_colorings(lift: Lift, k: int) -> int:
         if ok:
             count += 1
     return count
+
+
+def random_unimodular(size: int, rng) -> list[list[int]]:
+    """Product of a unit lower- and unit upper-triangular +-1 matrix: a
+    random integer change of basis."""
+    lower = [[0] * size for _ in range(size)]
+    upper = [[0] * size for _ in range(size)]
+    for i in range(size):
+        lower[i][i] = 1
+        upper[i][i] = int(rng.choice([-1, 1]))
+        for j in range(i):
+            lower[i][j] = int(rng.integers(-2, 3))
+            upper[j][i] = int(rng.integers(-2, 3))
+    return [
+        [sum(lower[i][t] * upper[t][j] for t in range(size)) for j in range(size)]
+        for i in range(size)
+    ]

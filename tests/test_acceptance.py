@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import random_unimodular
 from liftchroma.asymptotics import (
     B_spectrum_check,
     brute_force_walk_count,
@@ -35,7 +36,6 @@ from liftchroma.lattice_tools import (
     gamma_b_component,
     kernel_basis,
     laplace_estimate,
-    random_unimodular,
     tau_maximal_forests,
 )
 from liftchroma.lift import count_cycles, expand, sample_lift

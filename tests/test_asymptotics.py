@@ -8,15 +8,14 @@ from liftchroma.asymptotics import (
     B_spectrum_check,
     brute_force_walk_count,
     build_B,
-    c1,
-    c2,
-    cycle_colorings,
     ey2_asym,
     ey_asym,
     expected_B_spectrum,
     h_dk,
     joint_moment_prediction,
     lambdas,
+    log_c1,
+    log_c2,
     sscm_constants,
     sscm_identity_check,
     variance_series_terms,
@@ -92,11 +91,11 @@ def test_lambda12_vanish_for_simple_bases(k3, k4, k5, petersen):
 
 
 def test_c1_values(k3, k4):
-    assert c1(k4, 3) == pytest.approx(4096.0, rel=1e-12)
-    assert c1(k3, 3) == pytest.approx(3**4.5 * (4 / 3) ** 3, rel=1e-12)
+    assert math.exp(log_c1(k4, 3)) == pytest.approx(4096.0, rel=1e-12)
+    assert math.exp(log_c1(k3, 3)) == pytest.approx(3**4.5 * (4 / 3) ** 3, rel=1e-12)
     for k in range(3, 11):
         for m in range(4, 9):
-            assert c1(make_complete_graph(m), k) > 0
+            assert math.exp(log_c1(make_complete_graph(m), k)) > 0
 
 
 def test_h_values(k3, k4):
@@ -105,8 +104,8 @@ def test_h_values(k3, k4):
 
 
 def test_c2_positive(k3, k4):
-    assert c2(k3, 3) > 0
-    assert c2(k4, 3) > 0
+    assert math.exp(log_c2(k3, 3)) > 0
+    assert math.exp(log_c2(k4, 3)) > 0
 
 
 def test_identity_check_gap(k4, k5):
@@ -122,6 +121,16 @@ def test_identity_check_auto_extension(k4):
     chk = sscm_identity_check(k4, 3)
     assert chk.J >= 200
     assert chk.gap < 1e-8
+
+
+@pytest.mark.parametrize("J", [10, 20])
+@pytest.mark.parametrize("name,k", [("k4", 3), ("k5", 3), ("petersen", 3), ("K6", 4), ("K8", 4)])
+def test_identity_gap_within_tail_bound(name, k, J, request):
+    # the truncated series misses at most the geometric tail past J
+    g = make_complete_graph(int(name[1:])) if name[0] == "K" else request.getfixturevalue(name)
+    chk = sscm_identity_check(g, k, J)
+    assert chk.J == J
+    assert 0 < chk.gap <= chk.tail_bound + 1e-12
 
 
 def test_identity_gap_monotone(k4):
@@ -140,16 +149,11 @@ def test_identity_divergent(k3):
         sscm_identity_check(k12, 3, 10)
 
 
-def test_cycle_colorings_closed_form():
-    assert cycle_colorings(3, 3) == 6
-    assert cycle_colorings(4, 3) == 18
-    assert cycle_colorings(3, 2) == 0
-
-
 @pytest.mark.parametrize("j", range(3, 9))
 @pytest.mark.parametrize("k", range(2, 6))
 def test_cycle_colorings_vs_exact_count(j, k):
-    assert cycle_colorings(j, k) == count_proper_colorings(cycle_lifted_graph(j), k)
+    # the chromatic polynomial of the j-cycle
+    assert (k - 1) ** j + (k - 1) * (-1) ** j == count_proper_colorings(cycle_lifted_graph(j), k)
 
 
 def test_ey_asym_positive_and_ratio(k3):
@@ -158,7 +162,7 @@ def test_ey_asym_positive_and_ratio(k3):
     # E[Y^2]/E[Y]^2 ratio is n-free: C2/C1^2
     for n in (30, 60):
         ratio = ey2_asym(k3, n, 3).log - 2 * ey_asym(k3, n, 3).log
-        assert ratio == pytest.approx(math.log(c2(k3, 3) / c1(k3, 3) ** 2), rel=1e-9)
+        assert ratio == pytest.approx(log_c2(k3, 3) - 2 * log_c1(k3, 3), rel=1e-9)
 
 
 def test_ey_asym_requires_divisibility(k3):

@@ -6,11 +6,10 @@ import pytest
 from liftchroma.base_graph import (
     BaseGraph,
     adjacency_spectrum,
-    format_graph_text,
     make_complete_graph,
     make_cycle_graph,
     make_petersen_graph,
-    parse_graph_text,
+    parse_edge_list,
     resolve_graph_arg,
 )
 from liftchroma.errors import InvalidGraphError
@@ -151,17 +150,23 @@ def test_spectrum_relabeling_invariance(petersen):
         assert np.allclose(adjacency_spectrum(relabeled), base, atol=1e-9)
 
 
+def _graph_text(g: BaseGraph) -> str:
+    """Text format: first line "V E", then one "tail head" line per edge."""
+    lines = [f"{g.num_vertices} {g.num_edges}"] + [f"{t} {h}" for t, h in g.edges]
+    return "\n".join(lines) + "\n"
+
+
 def test_text_format_roundtrip(k4):
-    text = format_graph_text(k4)
+    text = _graph_text(k4)
     assert text.splitlines()[0] == "4 6"
-    parsed = parse_graph_text(text)
+    parsed = BaseGraph(*parse_edge_list(text))
     assert parsed == k4
 
 
 def test_resolve_graph_arg_shorthand_and_file(tmp_path, k5):
     assert resolve_graph_arg("K5") == k5
     path = tmp_path / "g.txt"
-    path.write_text(format_graph_text(k5))
+    path.write_text(_graph_text(k5))
     assert resolve_graph_arg(str(path)) == k5
     with pytest.raises(ValueError):
         resolve_graph_arg("no-such-thing")

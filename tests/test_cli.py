@@ -83,6 +83,11 @@ def test_sscm_cli(capsys):
     assert out["identity_gap"] < 1e-8
     assert out["lambda"][2] == pytest.approx(4.0)
     assert out["C1"] == pytest.approx(4096.0)
+    # the bound on the series tail past the truncation J that the gap respects
+    check = asymptotics.sscm_identity_check(make_complete_graph(4), 3)
+    assert out["identity_J"] == check.J
+    assert out["identity_tail_bound"] == check.tail_bound
+    assert out["identity_gap"] <= out["identity_tail_bound"] + 1e-12
 
 
 def test_opt_verify_cli(capsys):
@@ -94,6 +99,16 @@ def test_opt_verify_cli(capsys):
         run_cli(capsys, "opt-verify", "--which", "F", "--graph", "K4", "--k", "3", "--trials", "5", "--seed", "1")
     )
     assert out_f["gap_to_uniform"] >= -1e-9
+
+
+@pytest.mark.parametrize("which", ["an", "rect", "f", "F"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_opt_verify_rejects_trials_below_one(capsys, which, trials):
+    # --trials 0 used to die in numpy ("zero-size array") for an and rect
+    with pytest.raises(SystemExit) as exc:
+        main(["opt-verify", "--which", which, "--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials: must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_tau_cli(capsys, tmp_path):

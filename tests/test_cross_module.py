@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from liftchroma.asymptotics import joint_moment_prediction, log_rate
-from liftchroma.errors import TooLargeError
 from liftchroma.experiments import joint_ratio_estimate, mc_expectation
-from liftchroma.lattice_tools import windowed_sum
 from liftchroma.moments_exact import (
     expected_Y_exact,
     expected_Y_exact_extended,
 )
-from liftchroma.stochastic_opt import F_A, f_AB, uniform_pair_profile
+from liftchroma.stochastic_opt import F_A, uniform_pair_profile, xlogx
 
 
 def test_quota_increment_ratio_approaches_rate(k3):
@@ -30,6 +28,17 @@ def test_quota_increment_ratio_approaches_rate(k3):
     assert abs(ratios[2] - rate) < abs(ratios[1] - rate) < abs(ratios[0] - rate)
 
 
+def _f_AB(g, A, B) -> float:
+    """Second-moment overlap functional over pair profiles A (|V|, k, k) and
+    B (|E|, k, k, k, k) indexed [e, i, j, i', j'], B supported on i != i',
+    j != j': -sum A log A + sum_e sum B log(A_v[i, j] A_v'[i', j'] / B)."""
+    total = -float(np.sum(xlogx(A)))
+    for (tail, head), b in zip(g.edges, B):
+        outer = np.multiply.outer(A[tail], A[head])
+        total += float(np.sum(b[b > 0] * np.log(outer[b > 0] / b[b > 0])))
+    return total
+
+
 def test_f_AB_uniform_matches_F(k4):
     k = 3
     a_hat = uniform_pair_profile(k4, k)
@@ -40,7 +49,7 @@ def test_f_AB_uniform_matches_F(k4):
                 for j2 in range(k):
                     if i != i2 and j != j2:
                         b_hat[:, i, j, i2, j2] = 1 / (k * (k - 1)) ** 2
-    val = f_AB(k4, a_hat, b_hat)
+    val = _f_AB(k4, a_hat, b_hat)
     assert val == pytest.approx(2 * log_rate(k4, 3), abs=1e-12)
     assert val == pytest.approx(F_A(k4, a_hat), abs=1e-12)
 
@@ -60,22 +69,6 @@ def test_joint_ratio_trend_diagnostic(k4):
     prediction = joint_moment_prediction(k4, 3, 3)
     assert prediction == pytest.approx(3.0)
     assert 0.5 * prediction <= value <= 2.0 * prediction
-
-
-def test_windowed_sum_cap():
-    from fractions import Fraction
-
-    from liftchroma.lattice_tools import LatticeProblem, gamma_b_component
-
-    comp = gamma_b_component(3)
-    problem = LatticeProblem(
-        gamma=comp,
-        y=tuple(Fraction(1, 3) for _ in range(comp.num_vertices)),
-        box=tuple((Fraction(0), Fraction(1, 3)) for _ in range(comp.num_edges)),
-        xhat=tuple(Fraction(1, 6) for _ in range(comp.num_edges)),
-    )
-    with pytest.raises(TooLargeError):
-        windowed_sum(problem, 60, 1.0, lambda p: Fraction(1), cap=3)
 
 
 def test_two_cycle_mean_matches_lambda2(doubled_triangle):

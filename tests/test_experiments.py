@@ -154,6 +154,43 @@ def test_campaign_rejects_bad_k_before_running(tmp_path, statistic, k):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("samples", 2.5),
+        ("samples", True),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", True),
+        ("budget", "x"),
+        ("budget", 0),
+        ("budget", True),
+        ("n_values", [True]),
+        ("k", 2.5),
+        ("k", True),
+        ("statistics", []),
+    ],
+)
+def test_campaign_rejects_badly_typed_fields_before_running(tmp_path, field, value):
+    # each passed validation, then crashed mid-run (TypeError, ValueError),
+    # was silently accepted, or wrote True or a header-only CSV
+    fields = dict(
+        graph="K3",
+        n_values=[2],
+        k=None,
+        statistics=["Z3"],
+        samples=2,
+        seed=1,
+        output_prefix=str(tmp_path / "out"),
+    )
+    config = CampaignConfig(**{**fields, field: value})
+    with pytest.raises(InvalidConfigError):
+        config.validate_config()
+    with pytest.raises(InvalidConfigError):
+        run_campaign(config)
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("statistic", ["Y", "Y*Z3"])
 def test_campaign_refuses_oversized_equitable_cells_before_running(
     tmp_path, monkeypatch, statistic
@@ -298,7 +335,9 @@ def test_campaign_embed_timings(tmp_path):
         n_values=[2],
         k=None,
         statistics=["Z3"],
-        samples=5,
+        # seconds are rounded to milliseconds: 5 samples (about 0.5 ms) could
+        # round to 0.0, 200 take well over 1 ms
+        samples=200,
         seed=1,
         output_prefix=str(tmp_path / "timed"),
         embed_timings=True,

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import random_unimodular
 from liftchroma.asymptotics import ey2_asym, ey_asym, h_dk
 from liftchroma.base_graph import make_complete_graph
-from liftchroma.errors import DomainError, SingularHessianError, TooLargeError
+from liftchroma.errors import DomainError, SingularHessianError
 from liftchroma.lattice_tools import (
     ConstraintGraph,
     LatticeProblem,
@@ -18,16 +19,12 @@ from liftchroma.lattice_tools import (
     build_gamma_a,
     build_gamma_b,
     det_restricted,
-    enumerate_lattice_points,
-    fraction_det,
     gamma_b_component,
     kernel_basis,
     laplace_estimate,
-    random_unimodular,
     tau_maximal_forests,
-    windowed_sum,
 )
-from liftchroma.moments_exact import proper_matching_count
+from liftchroma.moments_exact import margin_tables, proper_matching_count
 
 
 def _incidence(gamma: ConstraintGraph) -> np.ndarray:
@@ -62,10 +59,16 @@ def test_kernel_dimensions(k3, k4):
     assert all(len(row) == 0 for row in basis)
 
 
+def _identity(size: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(size)] for i in range(size)]
+
+
 def test_bareiss_and_fraction_det():
     assert bareiss_det([[2, 1], [1, 2]]) == 3
     assert bareiss_det([[1, 2], [2, 4]]) == 0
-    assert fraction_det([[Fraction(1, 2), 0], [0, Fraction(4, 3)]]) == Fraction(2, 3)
+    # a rational determinant is H restricted to the whole space: U = I
+    rational = [[Fraction(1, 2), 0], [0, Fraction(4, 3)]]
+    assert det_restricted(rational, _identity(2)) == Fraction(2, 3)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
@@ -126,8 +129,7 @@ def test_tau_against_enumeration_random_bipartite():
 def test_det_restricted_identity():
     rng = np.random.default_rng(1)
     u = rng.integers(-3, 4, size=(6, 3)).tolist()
-    identity = [[int(i == j) for j in range(6)] for i in range(6)]
-    assert det_restricted(identity, u) == 1
+    assert det_restricted(_identity(6), u) == 1
 
 
 def test_det_restricted_scaled_identity_exact(k3, k4):
@@ -216,9 +218,12 @@ def test_restricted_hessian_reproduces_h_factor(k3, k4):
 def test_laplace_refuses_missing_or_float_hessian(k3):
     problem = build_ey_problem(k3, 3)
     size = problem.gamma.num_edges
-    missing = dataclasses.replace(problem, hessian_at_xhat=None)
-    with pytest.raises(ValueError, match="hessian_at_xhat"):
-        laplace_estimate(missing, 30)
+    # every field is required: a problem without its Hessian cannot be built
+    with pytest.raises(TypeError, match="hessian_at_xhat"):
+        LatticeProblem(
+            problem.gamma, problem.y, problem.box, problem.xhat,
+            problem.phi, problem.log_psi, problem.log_c_n,
+        )
     floats = [[-6.0 if i == j else 0.0 for j in range(size)] for i in range(size)]
     with pytest.raises(TypeError):
         laplace_estimate(dataclasses.replace(problem, hessian_at_xhat=floats), 30)
@@ -304,14 +309,11 @@ def test_laplace_singular_hessian(k3):
         laplace_estimate(problem, 30)
 
 
-def _single_edge_problem(k: int) -> LatticeProblem:
-    comp = gamma_b_component(k)
-    return LatticeProblem(
-        gamma=comp,
-        y=tuple(Fraction(1, k) for _ in range(comp.num_vertices)),
-        box=tuple((Fraction(0), Fraction(1, k)) for _ in range(comp.num_edges)),
-        xhat=tuple(Fraction(1, k * (k - 1)) for _ in range(comp.num_edges)),
-    )
+def _lattice_points(gamma: ConstraintGraph, n: int, k: int):
+    """Every x in (1/n)Z^E with D x = (1/k, ..., 1/k), from the integer
+    tables n x with every line sum n/k; the box [0, 1/k] follows from them."""
+    for table in margin_tables([n // k] * gamma.num_vertices, gamma.edges):
+        yield tuple(Fraction(m, n) for m in table)
 
 
 def _matching_term(n: int, k: int):
@@ -326,23 +328,31 @@ def _matching_term(n: int, k: int):
     return term
 
 
+def _window_ratio(n: int, k: int, gamma_window: float) -> Fraction:
+    """Share of one base edge's matching sum at scale n from the window
+    ||x - xhat||_inf < gamma_window log(n)/sqrt(n), xhat = 1/(k(k-1))."""
+    radius = gamma_window * math.log(n) / math.sqrt(n)
+    xhat = Fraction(1, k * (k - 1))
+    term = _matching_term(n, k)
+    window = full = Fraction(0)
+    for point in _lattice_points(gamma_b_component(k), n, k):
+        full += term(point)
+        if all(abs(float(x - xhat)) < radius for x in point):
+            window += term(point)
+    return window / full
+
+
 def test_windowed_sum_full_equals_matching_count():
     k = 3
-    problem = _single_edge_problem(k)
     for n in (6, 30, 60):
-        ws = windowed_sum(problem, n, 1.0, _matching_term(n, k))
-        assert ws.full_sum == proper_matching_count((n // k,) * k, (n // k,) * k)
+        full = sum(map(_matching_term(n, k), _lattice_points(gamma_b_component(k), n, k)))
+        assert full == proper_matching_count((n // k,) * k, (n // k,) * k)
 
 
 def test_windowed_sum_ratios():
-    k = 3
-    problem = _single_edge_problem(k)
-    ws = windowed_sum(problem, 60, 1.0, _matching_term(60, k))
-    assert ws.ratio > 0.99
-    ws0 = windowed_sum(problem, 60, 0.0, _matching_term(60, k))
-    assert ws0.ratio < 1.0
-    ws_small_n = windowed_sum(problem, 6, 1.0, _matching_term(6, k))
-    assert ws_small_n.ratio == 1.0
+    assert _window_ratio(60, 3, 1.0) > 0.99
+    assert _window_ratio(60, 3, 0.0) < 1.0
+    assert _window_ratio(6, 3, 1.0) == 1
 
 
 def test_full_lattice_sum_reproduces_exact_moment(k3):
@@ -361,40 +371,25 @@ def test_full_lattice_sum_reproduces_exact_moment(k3):
             denom *= math.factorial(int(x * n))
         return Fraction(quota_fact, denom)
 
-    ws = windowed_sum(problem, n, 1.0, term)
+    full = sum(map(term, _lattice_points(problem.gamma, n, k)))
     vertex_factor = multinomial(n, (n // k,) * k) ** k3.num_vertices
     assert (
-        Fraction(vertex_factor) * ws.full_sum / math.factorial(n) ** k3.num_edges
+        Fraction(vertex_factor) * full / math.factorial(n) ** k3.num_edges
         == expected_Y_exact(k3, n, k)
     )
 
 
 def test_lattice_enumeration_counts():
     # the zero-diagonal 3x3 tables with all margins q form a 1-parameter family
-    problem = _single_edge_problem(3)
-    points = list(enumerate_lattice_points(problem, 30))
+    gamma = gamma_b_component(3)
+    points = list(_lattice_points(gamma, 30, 3))
     assert len(points) == 11  # q + 1 with q = 10
-    d = _incidence(problem.gamma)
+    d = _incidence(gamma)
     for p in points:
         assert all(
             sum(Fraction(int(c)) * x for c, x in zip(row, p)) == Fraction(1, 3)
             for row in d
         )
-
-
-def test_lattice_enumeration_binding_box():
-    # a box tighter than the margins keeps exactly the points inside it,
-    # in the same order; n * box is rounded inwards (3 <= 30x <= 7)
-    problem = _single_edge_problem(3)
-    free = list(enumerate_lattice_points(problem, 30))
-    lo, hi = Fraction(1, 10), Fraction(1, 4)
-    boxed = dataclasses.replace(problem, box=tuple((lo, hi) for _ in problem.box))
-    points = list(enumerate_lattice_points(boxed, 30))
-    assert points == [p for p in free if all(lo <= x <= hi for x in p)]
-    assert len(points) == 5
-    assert len(list(enumerate_lattice_points(boxed, 30, cap=5))) == 5
-    with pytest.raises(TooLargeError):
-        list(enumerate_lattice_points(boxed, 30, cap=4))
 
 
 # ---------------------------------------------------------------------------
@@ -591,4 +586,4 @@ def test_determinants_equal_oracle_random_matrices():
             ints[-1] = list(ints[0])  # singular
         assert bareiss_det(ints) == _oracle_det(ints)
         rational = [[Fraction(x, int(rng.integers(1, 7))) for x in row] for row in ints]
-        assert fraction_det(rational) == _oracle_det(rational)
+        assert det_restricted(rational, _identity(size)) == _oracle_det(rational)

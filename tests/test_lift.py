@@ -76,14 +76,14 @@ def test_expand_six_cycle(k3):
     lg = expand(six_cycle_lift(k3))
     assert count_cycles(lg, 3) == 0
     assert count_cycles(lg, 6) == 1
-    assert all(d == 2 for d in lg.degrees())
+    assert all(len(a) == 2 for a in lg.adjacency)
 
 
 def test_expand_regularity(k4):
     lg = expand(sample_lift(k4, 10, 3))
     assert lg.num_vertices == 40
     assert lg.num_edges == 60
-    assert all(d == 3 for d in lg.degrees())
+    assert all(len(a) == 3 for a in lg.adjacency)
 
 
 def test_verify_covering_sampled(k4):

@@ -10,17 +10,12 @@ from liftchroma.stochastic_opt import (
     PROJECTION_MAX_ITERS,
     PROJECTION_TOL,
     F_A,
-    b_star,
     entropy_h,
-    extend_matrix,
-    f_ab,
     f_at_b_star,
-    g_of_a,
     project_rows_to_simplex,
     project_transportation,
     rect_coefficient_bound,
     rect_gap,
-    rect_gap_second_form,
     rho,
     square_gap,
     uniform_pair_profile,
@@ -41,6 +36,10 @@ def test_rho_entropy_examples():
     row = np.array([[0.5, 0.5, 0.0]])
     assert rho(row) == pytest.approx(0.5)
     assert entropy_h(row) == pytest.approx(math.log(2))
+    # a stack gives one value per matrix
+    stack = np.stack([np.full((3, 3), 1 / 3), eye])
+    assert rho(stack) == pytest.approx([1.0, 3.0])
+    assert entropy_h(stack) == pytest.approx([3 * math.log(3), 0.0])
 
 
 def test_square_gap_examples():
@@ -53,16 +52,31 @@ def test_square_gap_examples():
         square_gap(np.full((4, 3), 1 / 3), 1.0)
 
 
+def _extend(M: np.ndarray) -> np.ndarray:
+    """A q x k row-stochastic M extended to q x q: its k columns scaled by
+    k/q, the other q - k columns filled with 1/q."""
+    q, k = M.shape
+    ext = np.full((q, q), 1.0 / q)
+    ext[:, :k] = M * (k / q)
+    return ext
+
+
 def test_extend_matrix():
     uniform43 = np.full((4, 3), 1 / 3)
-    assert np.allclose(extend_matrix(uniform43), 0.25)
+    assert np.allclose(_extend(uniform43), 0.25)
     square = np.full((3, 3), 1 / 3)
-    assert np.allclose(extend_matrix(square), square)
+    assert np.allclose(_extend(square), square)
     rng = np.random.default_rng(3)
     skewed = rng.dirichlet(np.ones(3), size=4)
-    ext = extend_matrix(skewed)  # transform identities asserted inside
+    ext = _extend(skewed)
     assert ext.shape == (4, 4)
     assert np.allclose(ext.sum(axis=1), 1.0)
+    # the transform identities that reduce the rectangular case to the square one
+    q, k = skewed.shape
+    assert rho(ext) == pytest.approx((k / q) * ((k / q) * rho(skewed) - 1) + 1, abs=1e-10)
+    assert math.log(k) - entropy_h(skewed) / q == pytest.approx(
+        (q / k) * (math.log(q) - entropy_h(ext) / q), abs=1e-10
+    )
 
 
 def test_rect_gap_examples():
@@ -85,11 +99,18 @@ def test_rect_gap_square_reduction():
 
 
 def test_rect_gap_two_display_forms_agree():
+    # the logarithm-ratio form: log k - h(M)/q - c log1p(((k/q) rho(M) - 1) / ((q-1)(k-1)))
     rng = np.random.default_rng(11)
+    q, k = 5, 3
+    c = 0.8 * rect_coefficient_bound(q, k)
     for _ in range(50):
-        m = rng.dirichlet(np.ones(3), size=5)
-        c = 0.8 * rect_coefficient_bound(5, 3)
-        assert rect_gap(m, c) == pytest.approx(rect_gap_second_form(m, c), abs=1e-12)
+        m = rng.dirichlet(np.ones(k), size=q)
+        second = (
+            math.log(k)
+            - entropy_h(m) / q
+            - c * math.log1p(((k / q) * rho(m) - 1.0) / ((q - 1) * (k - 1)))
+        )
+        assert rect_gap(m, c) == pytest.approx(second, abs=1e-12)
 
 
 @pytest.mark.parametrize("q,c", [(3, 1.8), (4, 3.7), (5, 5.9)])
@@ -108,13 +129,49 @@ def test_rect_gap_nonnegative_random(q, k):
     assert rect_gap(mats, c).min() >= -1e-10
 
 
+def _f(edges, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First-moment overlap functional, one value per profile of a stack:
+    f(a, b) = h(a) + sum_e sum_{i != i'} b log(a_{v,i} a_{v',i'} / b) with
+    0 log 0 = 0, for a of shape (S, |V|, k) and b of shape (S, |E|, k, k)."""
+    vals = -np.sum(xlogx(a), axis=(1, 2))
+    for e, (tail, head) in enumerate(edges):
+        b_e = b[:, e]
+        outer = a[:, tail, :, None] * a[:, head, None, :]
+        mask = b_e > 0
+        vals += np.sum(
+            np.where(mask, b_e * np.log(np.where(mask, outer / np.maximum(b_e, 1e-300), 1.0)), 0.0),
+            axis=(1, 2),
+        )
+    return vals
+
+
+def _b_star(edges, a: np.ndarray) -> np.ndarray:
+    """Per-edge maximiser of f in b for fixed a, per profile of a stack:
+    b*_{e,i,i'} = a_{v,i} a_{v',i'} / z_e off the diagonal, z_e = 1 - <a_v, a_v'>."""
+    off = ~np.eye(a.shape[-1], dtype=bool)
+    out = []
+    for tail, head in edges:
+        z = 1 - np.sum(a[:, tail] * a[:, head], axis=1)
+        out.append(a[:, tail, :, None] * a[:, head, None, :] * off / z[:, None, None])
+    return np.stack(out, axis=1)
+
+
+def _g(a: np.ndarray, d: int, k: int) -> float:
+    """Upper envelope of f(a, b*(a)) for complete bases:
+    g(a) = h(a) + C(d+1, 2) log(1 - (d+1)/(dk) + rho(a)/(d(d+1)))."""
+    return entropy_h(a) + math.comb(d + 1, 2) * math.log(
+        1.0 - (d + 1) / (d * k) + rho(a) / (d * (d + 1))
+    )
+
+
 def test_f_ab_uniform_value(k4):
     d, k = 3, 3
-    a = uniform_profile(k4, k)
-    b = b_star(k4, a)
+    a = uniform_profile(k4, k)[None]
+    b = _b_star(k4.edges, a)
     target = (d + 1) / 2 * math.log((k - 1) ** d / k ** (d - 2))
-    assert f_ab(k4, a, b) == pytest.approx(target, abs=1e-12)
-    assert np.allclose(b[:, ~np.eye(k, dtype=bool)], 1 / (k * (k - 1)))
+    assert _f(k4.edges, a, b)[0] == pytest.approx(target, abs=1e-12)
+    assert f_at_b_star(k4, a[0]) == pytest.approx(target, abs=1e-12)
+    assert np.allclose(b[0][:, ~np.eye(k, dtype=bool)], 1 / (k * (k - 1)))
 
 
 def _random_couplings(rng, a: np.ndarray, edges, iters: int = 200) -> np.ndarray:
@@ -144,41 +201,31 @@ def test_f_gibbs_bound(k4):
     n_samples = 10_000
     a = rng.dirichlet(np.ones(k), size=(n_samples, 4))
     couplings = _random_couplings(rng, a, k4.edges)
-    # vectorised f(a, b) and per-edge optimum h(a) + sum log z_e
-    from liftchroma.stochastic_opt import xlogx
-
-    f_vals = -np.sum(xlogx(a), axis=(1, 2))
+    # per-edge optimum h(a) + sum log z_e
     best = -np.sum(xlogx(a), axis=(1, 2))
-    for e, (tail, head) in enumerate(k4.edges):
-        b = couplings[:, e]
-        outer = a[:, tail, :, None] * a[:, head, None, :]
-        mask = b > 0
-        f_vals += np.sum(
-            np.where(mask, b * np.log(np.where(mask, outer / np.maximum(b, 1e-300), 1.0)), 0.0),
-            axis=(1, 2),
-        )
+    for tail, head in k4.edges:
         best += np.log(1 - np.sum(a[:, tail, :] * a[:, head, :], axis=1))
+    f_vals = _f(k4.edges, a, couplings)
     assert np.max(f_vals - best) <= 1e-7  # marginal rescaling is approximate
 
-    # scalar API agrees with the vectorised evaluation on a spot sample
+    # the optimum is attained at b*(a), and f_at_b_star evaluates it
+    assert np.allclose(_f(k4.edges, a, _b_star(k4.edges, a)), best, rtol=0, atol=1e-10)
     idx = 17
-    assert f_ab(k4, a[idx], couplings[idx]) == pytest.approx(f_vals[idx], abs=1e-8)
     assert f_at_b_star(k4, a[idx]) == pytest.approx(best[idx], abs=1e-10)
-    assert f_ab(k4, a[idx], b_star(k4, a[idx])) == pytest.approx(best[idx], abs=1e-10)
 
 
 def test_b_star_degenerate_edge(k3):
     a = np.zeros((3, 3))
     a[:, 0] = 1.0  # every fiber fully colour 0: z_e = 0 on every edge
     with pytest.raises(DegenerateEdgeError):
-        b_star(k3, a)
+        f_at_b_star(k3, a)
 
 
 def test_g_of_a_uniform_matches_f(k4):
     d, k = 3, 3
     a = uniform_profile(k4, k)
     target = (d + 1) / 2 * math.log((k - 1) ** d / k ** (d - 2))
-    assert g_of_a(a, d, k) == pytest.approx(target, abs=1e-12)
+    assert _g(a, d, k) == pytest.approx(target, abs=1e-12)
 
 
 def test_g_of_a_dominates_f(k4):
@@ -186,7 +233,7 @@ def test_g_of_a_dominates_f(k4):
     d, k = 3, 3
     for _ in range(500):
         a = rng.dirichlet(np.ones(k), size=d + 1)
-        assert f_at_b_star(k4, a) <= g_of_a(a, d, k) + 1e-10
+        assert f_at_b_star(k4, a) <= _g(a, d, k) + 1e-10
 
 
 def test_am_gm_edge_inequality(k4):
