@@ -18,6 +18,7 @@ import numpy as np
 from . import asymptotics, experiments, lattice_tools, stochastic_opt, thresholds
 from .base_graph import read_edge_list, resolve_graph_arg
 from .coloring import chromatic_number, count_proper_colorings, count_strongly_equitable
+from .errors import LiftChromaError
 from .lift import Lift, expand, sample_lift
 from .moments_exact import expected_X_exact, expected_Y2_exact, expected_Y_exact
 
@@ -210,11 +211,14 @@ def _cmd_campaign(args) -> None:
     )
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,20 +235,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample a lift, print its JSON record")
     p.add_argument("--graph", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("chromatic", help="exact chromatic number of a lift")
     p.add_argument("--graph", required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_int_at_least(1))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lift", help="JSON lift record file (instead of sampling)")
     p.set_defaults(func=_cmd_chromatic)
 
     p = sub.add_parser("count-colorings", help="exact colouring counts of a lift")
     p.add_argument("--graph", required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_int_at_least(1))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lift")
     p.add_argument("--k", type=int, required=True)
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments-exact", help="exact E[X], E[Y] or E[Y^2]")
     p.add_argument("--graph", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--which", choices=["X", "Y", "Y2"], required=True)
     p.set_defaults(func=_cmd_moments_exact)
@@ -267,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=["an", "rect", "f", "F"], required=True)
     p.add_argument("--graph", default="K4")
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--q", type=int, default=4)
+    p.add_argument("--q", type=_int_at_least(3), default=4)
     p.add_argument("--c", type=float)
-    p.add_argument("--trials", type=_positive_int, default=1000)
+    p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_opt_verify)
 
@@ -281,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=["EY", "EY2"], required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.set_defaults(func=_cmd_laplace_check)
 
     p = sub.add_parser("campaign", help="run a Monte Carlo campaign")
@@ -301,7 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except (LiftChromaError, ValueError) as exc:
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
     return 0
 
 

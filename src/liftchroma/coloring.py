@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import operator
 import os
+from functools import partial
 from typing import Sequence
 
 from .base_graph import connected_components
@@ -296,9 +297,14 @@ def _greedy_order(adj: Sequence[Sequence[int]]) -> list[int]:
     return order
 
 
-def _first_appearance(colors: tuple[int, ...]) -> tuple[int, ...]:
-    names: dict[int, int] = {}
-    return tuple(names.setdefault(c, len(names)) for c in colors)
+def _first_appearance(k: int, kept: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """frontier_sum's symmetry hook for every renaming of the k colours: a
+    state's colours are named by first appearance, a new colour next."""
+    names = dict.fromkeys(kept)  # in order of first appearance
+    image = [len(names)] * k
+    for name, c in enumerate(names):
+        image[c] = name
+    return tuple(map(image.__getitem__, kept)), image
 
 
 def count_proper_colorings(lg: LiftedGraph, k: int, budget: int | None = None) -> int:
@@ -318,7 +324,7 @@ def count_proper_colorings(lg: LiftedGraph, k: int, budget: int | None = None) -
     edges = tuple((rank[u], rank[w]) for u in range(len(adj)) for w in adj[u] if u < w)
     return frontier_sum(
         LiftedGraph(lg.num_vertices, edges), range(k), lambda c: 1, operator.ne,
-        node_budget(budget), BudgetExhaustedError, _first_appearance,
+        node_budget(budget), BudgetExhaustedError, lambda colours: partial(_first_appearance, k),
     )
 
 

@@ -21,17 +21,17 @@ per base vertex, by one forward dynamic programme over the vertices in
 index order (variable elimination along a path decomposition).  The state
 after vertex t maps the histograms of the frontier (placed vertices with a
 neighbour still to place) to the summed weight of every assignment of
-vertices 0..t agreeing with them; the edge counts come from one symmetric
-h x h integer matrix, so M is computed h(h+1)/2 times whatever the base.
-The cost follows the frontier, not h^|V|: on a cycle a layer holds at most
-h^2 states.  ``profile_cap`` bounds the work done, counted as transitions
-(states entering a layer times h, summed over the layers) and checked
-before each layer runs: about 1.0e5 for E[X] and 1.2e5 for E[Y^2] on K4
-with n=6, k=3, 4.6e4 for E[X] on Petersen with n=2, k=3, and 8.5e5 with
-n=3, all within the default 10^6.  A refusal never lists every histogram,
-and no layer makes more than LAYER_CAP transitions.  The same loop,
-frontier_sum, with the k colours as keys (the histograms of 1-vertex
-fibers) is the proper colouring count of coloring.count_proper_colorings.
+vertices 0..t agreeing with them, up to renaming colours, which changes no
+weight and no edge count: S_k on a colour histogram's coordinates, S_k x
+S_k and the transpose on a pair histogram.  M is computed once per orbit
+of histogram pairs (79 and 16 times, not h(h+1)/2 = 406 and 231, for E[X]
+and E[Y^2] on K4 with n=6, k=3).  ``profile_cap`` bounds the work done,
+counted as transitions (states entering a layer times h, summed over the
+layers) and checked before each layer runs: 1.8e4 for E[X] and 4.2e3 for
+E[Y^2] on K4 with n=6, k=3, 1.4e5 for E[Y^2] with n=9.  A refusal never
+lists every histogram, and no layer makes more than LAYER_CAP transitions.
+With the k colours as keys and every renaming of them as the symmetry,
+frontier_sum is the proper colouring count of coloring.count_proper_colorings.
 
 One kernel, margin_tables, enumerates every table here: the tables of M
 and of its pair analogue, the colour histograms of E[X] and the pair
@@ -57,6 +57,7 @@ from .lift import Lift, LiftedGraph, enumerate_lifts
 DEFAULT_PROFILE_CAP = 10**6
 # Most transitions in one layer, whatever the cap: a state takes about 100 B.
 LAYER_CAP = 3 * 10**6
+_SWAP_ROTATE = (lambda line: line[1::-1] + line[2:], lambda line: line[1:] + line[:1])  # S_k
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ def frontier_sum(
     edge_count: Callable[[object, object], int],
     cap: int,
     refuse: type[Exception] = TooLargeError,
-    canonical: Callable[[tuple], tuple] | None = None,
+    symmetry: Callable[[list], Callable] | None = None,
 ) -> int:
     """Sum over every assignment of one of the ``keys`` per vertex of ``g``
     of the vertex weights weight(key) times edge_count(tail, head) over the
@@ -215,10 +216,13 @@ def frontier_sum(
     W[s_u][i] for each edge back to a frontier vertex u, W the h x h matrix
     of edge counts.  ``edge_count`` must be symmetric, as every caller's is
     (M(x, y) = M(y, x): transposing a table swaps its margins), so an
-    edge's orientation does not matter and one triangle of W is computed.
-    Past ``cap`` transitions in all, or LAYER_CAP in one layer, it raises
-    ``refuse``, the caller's error.  ``canonical``, if given, maps each
-    state to the representative its value is summed into.
+    edge's orientation does not matter.  Past ``cap`` transitions in all,
+    or LAYER_CAP in one layer, it raises ``refuse``, the caller's error.
+    ``symmetry(keys)`` gives a hook for key renamings that change no weight
+    and no edge count: from a state's kept frontier, once per state, its
+    orbit's representative and each key's index in the grown state's.  A
+    state holds its orbit's summed weight, and ``edge_count`` sees one pair
+    per orbit of unordered pairs, so a cached kernel runs once per orbit.
     """
     # h + h^2 is the first two layers if vertex 0 has a later neighbour, and
     # bounds the h x h matrix: list at most isqrt(first) + 1 keys, where h^2
@@ -228,11 +232,14 @@ def frontier_sum(
     h = len(keys)
     if h + h * h > first:
         raise refuse(f"{h + h * h} histogram transitions exceed cap {first}")
+    canonical = (symmetry or partial(relabelling_group, 1, ()))(keys)
     weights = [weight(key) for key in keys]
+    singles = [canonical((a,)) for a in range(h)]
     dense = [[0] * h for _ in range(h)]
-    for a in range(h):
-        for b in range(a, h):
-            dense[a][b] = dense[b][a] = edge_count(keys[a], keys[b])
+    for a, ((rep_a,), image_a) in enumerate(singles):
+        for b, ((rep_b,), image_b) in enumerate(singles[a:], a):
+            x, y = min((rep_a, image_a[b]), (rep_b, image_b[a]))
+            dense[a][b] = dense[b][a] = edge_count(keys[x], keys[y])
     # Per histogram of a frontier vertex u: the nonzero factors W[s_u][i],
     # already times weights[i].
     sparse = [[(i, w * weights[i]) for i, w in enumerate(line) if w] for line in dense]
@@ -269,19 +276,45 @@ def frontier_sum(
         for s, value in states.items():
             candidates = sparse[s[edges[0]]] if edges else unconstrained
             factors = [dense[s[p]] for p in edges[1:]]
-            kept = tuple(s[p] for p in keep)
+            kept, image = canonical(tuple(map(s.__getitem__, keep)))
             for i, f in candidates:
                 for row in factors:
                     f *= row[i]
                     if not f:
                         break
                 else:
-                    key = kept + (i,) if grows else kept
-                    if canonical:
-                        key = canonical(key)
+                    key = kept + (image[i],) if grows else kept
                     nxt[key] = nxt.get(key, 0) + value * f
         states = nxt
     return sum(states.values())
+
+
+def relabelling_group(order: int, generators: Sequence[Callable], keys: list) -> Callable:
+    """frontier_sum's hook for the group of ``order`` maps of ``keys`` that
+    ``generators`` generate, if order <= h^2 and order * h <= LAYER_CAP:
+    a state's least image, and each key's least image under the maps to it."""
+    h = len(keys)
+    if not generators or order > h * h or order * h > LAYER_CAP:
+        return lambda kept, identity=list(range(h)): (kept, identity)  # none, or too many to list
+    index = {key: i for i, key in enumerate(keys)}
+    steps = [[index[m(key)] for key in keys] for m in generators]
+    perms = [tuple(range(h))]
+    seen = set(perms)
+    for p in perms:  # closed under the generators as it grows
+        for q in (tuple(map(p.__getitem__, step)) for step in steps):
+            if q not in seen:
+                seen.add(q)
+                perms.append(q)
+    columns = list(zip(*perms))  # columns[x]: x's image under each map
+
+    @lru_cache(maxsize=h)  # h images of h keys: the size of the edge matrix
+    def canonical(kept: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+        images = list(zip(*map(columns.__getitem__, kept))) if kept else [()] * len(perms)
+        rep = min(images)
+        chosen = [p for p, image in zip(perms, images) if image == rep]
+        return rep, chosen[0] if len(chosen) == 1 else [min(c) for c in zip(*chosen)]
+
+    return canonical
 
 
 def expected_X_exact(
@@ -296,7 +329,8 @@ def expected_X_exact(
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     total = frontier_sum(
-        g, compositions(n, k), partial(multinomial, n), proper_matching_count, profile_cap
+        g, compositions(n, k), partial(multinomial, n), proper_matching_count, profile_cap,
+        symmetry=partial(relabelling_group, math.factorial(k), _SWAP_ROTATE),
     )
     return Fraction(total, math.factorial(n) ** g.num_edges)
 
@@ -345,8 +379,11 @@ def expected_Y2_exact(
     if n % k != 0:
         return Fraction(0)
     tables = _doubly_stochastic_tables(k, n // k)
+    # S_k on the rows and the transpose (which swaps the colourings) generate all 2 (k!)^2 maps
+    generators = (*_SWAP_ROTATE, lambda t: tuple(zip(*t)))
     total = frontier_sum(
-        g, tables, lambda t: multinomial(n, sum(t, ())), proper_pair_matching_count, profile_cap
+        g, tables, lambda t: multinomial(n, sum(t, ())), proper_pair_matching_count, profile_cap,
+        symmetry=partial(relabelling_group, 2 * math.factorial(k) ** 2, generators),
     )
     return Fraction(total, math.factorial(n) ** g.num_edges)
 

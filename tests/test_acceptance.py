@@ -181,6 +181,27 @@ def test_criterion_07_asymptotic_trend(k3):
     )
 
 
+def test_exact_second_moment_ratio_trend(k4):
+    # the second-moment analogue of criterion 7: small subgraph conditioning
+    # needs E[Y^2]/E[Y]^2 -> exp(sum lambda_j delta_j^2), which is
+    # ey2_asym/ey_asym^2 at every n; under the default cap the exact sum on
+    # K4 now reaches n = 9.  The approach need not be from above: n = 12
+    # (past the default cap) already lies below the constant.
+    constant = math.exp(ey2_asym(k4, 9, 3).log - 2 * ey_asym(k4, 9, 3).log)
+    ratios = {n: expected_Y2_exact(k4, n, 3) / expected_Y_exact(k4, n, 3) ** 2 for n in (3, 6, 9)}
+    assert ratios == {
+        3: Fraction(297, 32),
+        6: Fraction(906268743, 625000000),
+        9: Fraction(8178483745215325, 5997984525582336),
+    }
+    gaps = [abs(float(ratios[n]) - constant) for n in (3, 6, 9)]
+    report(
+        f"exact E[Y^2]/E[Y]^2 on K4 (k=3) nears {constant:.5f} at each step "
+        f"(got {float(ratios[3]):.5f} -> {float(ratios[6]):.5f} -> {float(ratios[9]):.5f})",
+        gaps[0] > gaps[1] > gaps[2] and constant == pytest.approx(1.36219, abs=5e-6),
+    )
+
+
 def test_criterion_08_optimization_inequalities(k4):
     rng = np.random.default_rng(271828)
     ok = True

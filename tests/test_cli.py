@@ -111,6 +111,30 @@ def test_opt_verify_rejects_trials_below_one(capsys, which, trials):
     assert "--trials: must be an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("laplace-check --which EY --graph K4 --k 3 --n 0", "argument --n: must be an integer >= 1, got 0"),
+        ("moments-exact --which X --graph K4 --n 0 --k 3", "argument --n: must be an integer >= 1, got 0"),
+        ("opt-verify --which an --q 2", "argument --q: must be an integer >= 3, got 2"),
+        ("opt-verify --which rect --q 4 --k 5", "need q >= 3 and k <= q, got 4 x 5"),
+        ("moments-exact --which Y2 --graph K4 --n 12 --k 3", "transitions exceed cap 1000000"),
+    ],
+)
+def test_cli_errors_are_one_usage_line(capsys, argv, message):
+    # these ended in library tracebacks (a bare "math domain error" for the
+    # first); a rejected argument or a refused request exits 2 with one line
+    command = argv.split()[0]
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"liftchroma {command}: error: ")
+    assert last.endswith(message)
+
+
 def test_tau_cli(capsys, tmp_path):
     path = tmp_path / "c6.txt"
     # C_6 viewed as a multigraph file: 6 spanning trees

@@ -284,6 +284,78 @@ def test_refused_moment_lists_at_most_isqrt_cap_plus_one_tables(k4, monkeypatch)
         assert listed[0] <= math.isqrt(cap) + 1
 
 
+def _pair_orbits(keys, maps) -> int:
+    """Orbits of unordered key pairs {a, b} (a = b allowed) under the group
+    ``maps``, every element listed."""
+    index = {key: i for i, key in enumerate(keys)}
+    perms = [[index[m(key)] for key in keys] for m in maps]
+    seen, orbits = set(), 0
+    for a, b in itertools.combinations_with_replacement(range(len(keys)), 2):
+        if (a, b) not in seen:
+            orbits += 1
+            seen.update((min(p[a], p[b]), max(p[a], p[b])) for p in perms)
+    return orbits
+
+
+def _colour_maps(k):
+    return [lambda c, p=p: tuple(c[i] for i in p) for p in itertools.permutations(range(k))]
+
+
+def _pair_table_maps(k):
+    # rows by p, columns by q, and the transpose, which swaps the colourings
+    return [
+        lambda t, p=p, q=q, flip=flip: tuple(
+            tuple((t[j][i] if flip else t[i][j]) for j in q) for i in p
+        )
+        for p in itertools.permutations(range(k))
+        for q in itertools.permutations(range(k))
+        for flip in (False, True)
+    ]
+
+
+def test_edge_counts_once_per_pair_orbit(k4):
+    # colour relabellings change no edge count, so each orbit of key pairs
+    # costs one kernel call: h(h+1)/2 = 231 and 406 calls before
+    cases = [
+        (expected_Y2_exact, proper_pair_matching_count, _doubly_stochastic_tables(3, 2), _pair_table_maps(3), 16),
+        (expected_X_exact, proper_matching_count, compositions(6, 3), _colour_maps(3), 79),
+    ]
+    for moment, kernel, keys, maps, count in cases:
+        assert _pair_orbits(list(keys), maps) == count
+        kernel.cache_clear()
+        moment(k4, 6, 3)
+        assert kernel.cache_info().misses == count
+
+
+def test_refusal_spends_at_most_one_edge_count_per_pair_orbit(k4):
+    # h = 455 compositions: the refusal used to spend h(h+1)/2 kernel calls
+    # and about 20 s before its first layer's check
+    orbits = _pair_orbits(list(compositions(12, 4)), _colour_maps(4))
+    proper_matching_count.cache_clear()
+    with pytest.raises(TooLargeError, match=r"^\d+ histogram transitions exceed cap 1000000$"):
+        expected_X_exact(k4, 12, 4)
+    assert proper_matching_count.cache_info().misses <= orbits
+
+
+def test_symmetry_larger_than_the_edge_matrix_is_not_used(k3, k4):
+    # 12! maps against h = 12 keys, and 8! against h = 8: listing the group
+    # would cost more than it saves, so the sums run without it
+    assert expected_X_exact(k3, 1, 12) == 12 * 11 * 10
+    assert expected_X_exact(k4, 1, 8) == 8 * 7 * 6 * 5
+
+
+def test_symmetric_second_moment_equals_the_plain_frontier_sum(k4, monkeypatch):
+    # K4, n = 9: 6.8e6 transitions without the colour symmetry, past the
+    # default cap and LAYER_CAP; with it, within the default cap
+    monkeypatch.setattr(moments_exact, "LAYER_CAP", 10**7)
+    plain = moments_exact.frontier_sum(
+        k4, _doubly_stochastic_tables(3, 3), lambda t: multinomial(9, sum(t, ())),
+        proper_pair_matching_count, 10**7,
+    )
+    monkeypatch.undo()
+    assert expected_Y2_exact(k4, 9, 3) == Fraction(plain, math.factorial(9) ** 6)
+
+
 def _histogram_pair_count(g, n: int, a_counts) -> int:
     """(lift, colouring) pairs whose per-fiber colour histograms are
     a_counts: prod_v multinomial(n; a_v) * prod_e M(a_tail, a_head)."""
