@@ -62,7 +62,7 @@ def _load_lift(args) -> Lift:
         with open(args.lift) as fh:
             return Lift.from_json(g, fh.read())
     if args.n is None:
-        raise SystemExit("need --n (to sample) or --lift FILE")
+        raise ValueError("need --n (to sample) or --lift FILE")
     return sample_lift(g, args.n, args.seed)
 
 
@@ -190,7 +190,7 @@ def _cmd_campaign(args) -> None:
             config = experiments.CampaignConfig.from_json(fh.read())
     else:
         if not (args.graph and args.n and args.statistics and args.out):
-            raise SystemExit("campaign needs --config or --graph/--n/--statistics/--out")
+            raise ValueError("campaign needs --config or --graph/--n/--statistics/--out")
         config = experiments.CampaignConfig(
             graph=args.graph,
             n_values=[int(x) for x in args.n],
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments-exact", help="exact E[X], E[Y] or E[Y^2]")
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--which", choices=["X", "Y", "Y2"], required=True)
     p.set_defaults(func=_cmd_moments_exact)
 

@@ -11,9 +11,11 @@ each of colours r..k-1, where n = q*k + r.  For r = 0 this is the plain
 quota is part of the definition, so counts are not symmetric under colour
 relabelling when 0 < r.
 
-The proper count runs the frontier programme that also sums E[X] and
-E[Y^2] (moments_exact.frontier_sum); the strongly equitable count is a
-search over canonical colourings.
+One backtracking DSATUR search decides k-colourability, and its first
+descent over the whole graph is the greedy upper bound of
+chromatic_bounds.  The proper count runs the frontier programme that also
+sums E[X] and E[Y^2] (moments_exact.frontier_sum); the strongly equitable
+count is a search over canonical colourings.
 
 Every solver honours a budget, one unit per search node or per kernel
 transition; exhausting it raises BudgetExhaustedError ("unknown"), never a
@@ -82,16 +84,19 @@ def greedy_clique(lg: LiftedGraph) -> int:
 
 
 def _dsatur_decide(
-    adj: Sequence[Sequence[int]], vertices: list[int], k: int, budget: _Budget
-) -> bool:
-    """Backtracking 'does this connected component admit a k-colouring'.
+    adj: Sequence[Sequence[int]], vertices: Sequence[int], k: int, budget: _Budget
+) -> list[int] | None:
+    """A k-colouring of ``vertices`` (a colour per position), or None if
+    there is none: backtracking DSATUR on an explicit stack, so no size can
+    overflow the Python stack; each node costs one unit of ``budget``.
 
-    Saturation-degree vertex selection (lazy max-heap; stale entries are
-    re-pushed on every saturation change and filtered at pop time) plus
-    colour-symmetry breaking: a vertex may use at most one colour index
-    beyond those already in use.  The search keeps one frame per coloured
-    vertex on an explicit stack, so no component size can overflow the
-    Python stack; each node visited costs one unit of ``budget``.
+    The next vertex is the uncoloured one with the most neighbour colours,
+    then the highest degree, then the lowest index (lazy heap, one entry per
+    saturation change); it tries its free colours in turn, up to one past
+    those in use.  A backtrack uncolours a vertex without a new entry, so
+    until its saturation changes or the heap runs dry a pick may pass it
+    over for a vertex that is not that minimum.  With m = len(vertices) =
+    k no saturation reaches k: one descent, greedy DSATUR, spends m + 1.
     """
     index = {v: i for i, v in enumerate(vertices)}
     local_adj = [[index[w] for w in adj[v] if w in index] for v in vertices]
@@ -124,7 +129,7 @@ def _dsatur_decide(
     while True:
         budget.spend()
         if uncolored == 0:
-            return True
+            return colors
         stack.append([pick(), used, -1, []])
         while stack:
             frame = stack[-1]
@@ -159,14 +164,7 @@ def _dsatur_decide(
                 used = max(used, c + 1)
                 break
         else:
-            return False
-
-
-def _is_complete(adj: Sequence[Sequence[int]], comp: list[int]) -> bool:
-    comp_set = set(comp)
-    return all(
-        sum(1 for w in adj[v] if w in comp_set) == len(comp) - 1 for v in comp
-    )
+            return None
 
 
 def is_k_colorable(lg: LiftedGraph, k: int, budget: int | None = None) -> bool:
@@ -194,14 +192,14 @@ def is_k_colorable(lg: LiftedGraph, k: int, budget: int | None = None) -> bool:
             continue
         if k == comp_max_deg:
             if k >= 3:
-                if len(comp) == k + 1 and _is_complete(adj, comp):
+                if len(comp) == k + 1 and all(len(adj[v]) == k for v in comp):
                     return False
                 continue
             # k == 2: 2-colourable iff the component has no odd cycle.
             if not bipartite:
                 return False
             continue
-        if not _dsatur_decide(adj, comp, k, b):
+        if _dsatur_decide(adj, comp, k, b) is None:
             return False
     return True
 
@@ -235,13 +233,15 @@ def chromatic_bounds(
 
     Never raises: refinement attempts run under ``refine_budget`` nodes
     each, and exhaustion simply leaves the bracket loose.  Lower bound
-    from bipartiteness and a greedy clique; upper bound from greedy
-    colouring, improved by exact decisions while they stay cheap.
+    from bipartiteness and a greedy clique; upper bound from the first
+    descent of the DSATUR search over the whole graph (greedy DSATUR),
+    improved by exact decisions while they stay cheap.
     """
     lo = _chromatic_floor(lg)
     if lo <= 1:
         return (lo, lo)
-    hi = _greedy_upper(lg.simple_adjacency)
+    m = lg.num_vertices
+    hi = 1 + max(_dsatur_decide(lg.simple_adjacency, range(m), m, _Budget(m + 1)))
     while hi > lo:
         try:
             if is_k_colorable(lg, hi - 1, budget=refine_budget):
@@ -251,32 +251,6 @@ def chromatic_bounds(
         except BudgetExhaustedError:
             break
     return (lo, hi)
-
-
-def _greedy_upper(adj: Sequence[Sequence[int]]) -> int:
-    """Colours used by greedy DSATUR without backtracking: the vertex with
-    the most neighbour colours, then the highest degree, then the lowest
-    index goes next (lazy heap) and takes its lowest free colour."""
-    n = len(adj)
-    colors = [-1] * n
-    neighbor_colors = [set() for _ in range(n)]
-    heap = [(0, -len(adj[v]), v) for v in range(n)]
-    heapq.heapify(heap)
-    used = 0
-    while heap:
-        neg_sat, _neg_deg, v = heapq.heappop(heap)
-        if colors[v] >= 0 or -neg_sat != len(neighbor_colors[v]):
-            continue
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
-        used = max(used, c + 1)
-        for w in adj[v]:
-            if colors[w] < 0 and c not in neighbor_colors[w]:
-                neighbor_colors[w].add(c)
-                heapq.heappush(heap, (-len(neighbor_colors[w]), -len(adj[w]), w))
-    return used
 
 
 def _greedy_order(adj: Sequence[Sequence[int]]) -> list[int]:

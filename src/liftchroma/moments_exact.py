@@ -339,6 +339,8 @@ def expected_Y_exact(g: BaseGraph, n: int, k: int) -> Fraction:
     """E[Y] where Y counts strongly equitable k-colourings (k | n):
     multinomial(n; n/k, ..., n/k)^{|V|} * (M(t,t)/n!)^{|E|} with t the
     uniform quota vector."""
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
     if n % k != 0:
         raise ValueError(f"strong equitability needs k | n; got n={n}, k={k}")
     return _expected_Y_from_quotas(g, n, (n // k,) * k)
@@ -346,6 +348,8 @@ def expected_Y_exact(g: BaseGraph, n: int, k: int) -> Fraction:
 
 def expected_Y_exact_extended(g: BaseGraph, n: int, k: int) -> Fraction:
     """E[Y] under the extended quotas (first n mod k colours get one extra)."""
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
     return _expected_Y_from_quotas(g, n, EquitableSpec(k=k, n=n).quotas())
 
 
@@ -376,6 +380,8 @@ def expected_Y2_exact(
     histograms.  Returns 0 when k does not divide n (no strongly equitable
     colourings exist under the uniform quota).
     """
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
     if n % k != 0:
         return Fraction(0)
     tables = _doubly_stochastic_tables(k, n // k)

@@ -119,6 +119,10 @@ def test_opt_verify_rejects_trials_below_one(capsys, which, trials):
         ("opt-verify --which an --q 2", "argument --q: must be an integer >= 3, got 2"),
         ("opt-verify --which rect --q 4 --k 5", "need q >= 3 and k <= q, got 4 x 5"),
         ("moments-exact --which Y2 --graph K4 --n 12 --k 3", "transitions exceed cap 1000000"),
+        ("moments-exact --which Y --graph K4 --n 2 --k 0", "argument --k: must be an integer >= 1, got 0"),
+        ("chromatic --graph K4", "need --n (to sample) or --lift FILE"),
+        ("count-colorings --graph K4 --k 3", "need --n (to sample) or --lift FILE"),
+        ("campaign", "campaign needs --config or --graph/--n/--statistics/--out"),
     ],
 )
 def test_cli_errors_are_one_usage_line(capsys, argv, message):

@@ -274,8 +274,15 @@ def _dsatur_outcome(decide, adj, comp, k, limit):
     try:
         answer = decide(adj, comp, k, budget)
     except BudgetExhaustedError:
-        answer = None
-    return answer, budget.left
+        return None, budget.left
+    if decide is not _dsatur_decide or answer is None:
+        return bool(answer), budget.left
+    # a colouring counts as True only once it is checked: proper on the
+    # component, in at most k colours
+    colour = dict(zip(comp, answer))
+    assert len(answer) == len(comp) and set(answer) <= set(range(k))
+    assert all(colour[v] != colour[w] for v in comp for w in adj[v])
+    return True, budget.left
 
 
 def test_dsatur_equals_recursive_oracle():
@@ -340,7 +347,8 @@ def test_chromatic_bounds_bracket(k4):
 
 
 def _oracle_greedy_upper(adj):
-    """The quadratic scan that the lazy heap of _greedy_upper replaced."""
+    """Greedy DSATUR as a quadratic scan: the bound that the search's first
+    descent must give."""
     n = len(adj)
     colors = [-1] * n
     neighbor_colors = [set() for _ in range(n)]
@@ -370,7 +378,11 @@ def test_greedy_upper_equals_scan_oracle(k4, petersen):
         for n in (1, 2, 3, 7, 20, 40):
             adj = expand(sample_lift(base, n, 100 * b + n)).simple_adjacency
             components += len(connected_components(adj)) > 1
-            assert coloring._greedy_upper(adj) == _oracle_greedy_upper(adj)
+            m = len(adj)
+            budget = _Budget(m + 1)
+            first_descent = _dsatur_decide(adj, range(m), m, budget)
+            assert 1 + max(first_descent) == _oracle_greedy_upper(adj)
+            assert budget.left == 0  # one descent, no backtrack
     assert components >= 6  # at least every lift of the two K4s
 
 

@@ -52,6 +52,24 @@ def test_expected_X_oracle_k4(k4, n, k):
     assert expected_X_exact(k4, n, k) == brute_force_moment(k4, n, _x_statistic(k))
 
 
+@pytest.mark.parametrize(
+    "moment,n,k",
+    [
+        (expected_Y_exact, 2, 0),
+        (expected_Y2_exact, 3, 0),
+        (expected_Y_exact, 2, -1),
+        (expected_Y_exact_extended, 2, -1),
+        (expected_Y_exact_extended, 2, 0),
+        (expected_Y2_exact, 3, -1),
+        (expected_Y_exact, 0, 3),
+    ],
+)
+def test_Y_moments_reject_n_or_k_below_one(k4, moment, n, k):
+    # k = 0 divided by zero; k = -1 failed an assert, which python -O strips
+    with pytest.raises(ValueError, match="need n >= 1 and k >= 1"):
+        moment(k4, n, k)
+
+
 def test_expected_Y_frozen_values(k3):
     assert expected_Y_exact(k3, 3, 3) == 8
     with pytest.raises(ValueError):
