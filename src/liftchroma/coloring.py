@@ -13,7 +13,10 @@ relabelling when 0 < r.
 
 One backtracking DSATUR search decides k-colourability, and its first
 descent over the whole graph is the greedy upper bound of
-chromatic_bounds.  The proper count runs the frontier programme that also
+chromatic_bounds.  It keeps each vertex's neighbour colours as an int
+bitmask and picks from one lazy heap of int keys, each packing a
+(saturation, degree, vertex) triple and pushed only if the heap does not
+hold it yet.  The proper count runs the frontier programme that also
 sums E[X] and E[Y^2] (moments_exact.frontier_sum); the strongly equitable
 count is a search over canonical colourings.
 
@@ -42,13 +45,19 @@ COUNT_VERTEX_CAP = 40  # vertex limit of the strongly equitable count
 
 def node_budget(budget: int | None = None) -> int:
     """Resolve the budget, in search nodes or kernel transitions: explicit
-    arg > env var > default."""
+    arg > env var > default.  The env var must be an integer >= 1."""
     if budget is not None:
         return budget
     env = os.environ.get("LIFTCHROMA_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_NODE_BUDGET
+    if not env:
+        return DEFAULT_NODE_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"LIFTCHROMA_BUDGET must be an integer >= 1, got {env!r}")
+    return value
 
 
 class _Budget:
@@ -91,9 +100,16 @@ def _dsatur_decide(
     overflow the Python stack; each node costs one unit of ``budget``.
 
     The next vertex is the uncoloured one with the most neighbour colours,
-    then the highest degree, then the lowest index (lazy heap, one entry per
-    saturation change); it tries its free colours in turn, up to one past
-    those in use.  A backtrack uncolours a vertex without a new entry, so
+    then the highest degree, then the lowest index; it tries its free
+    colours in turn, up to one past those in use.  Vertex v's neighbour
+    colours are a bitmask, ``masks[v]``, with their number in ``sat[v]``.
+    The picks come from a lazy heap of single integers: the ordered triple
+    (-sat, -degree, v) packs into (k - sat) * step + (top - degree) * m + v,
+    where top is the largest degree and step = (top + 1) * m, so v is the
+    key mod m and the key is stale once it differs from v's current one.
+    Each saturation change pushes v's new key unless the heap already holds
+    it (``live``); equal keys would be popped or picked together, so this
+    changes no pick.  A backtrack uncolours a vertex without a new key, so
     until its saturation changes or the heap runs dry a pick may pass it
     over for a vertex that is not that minimum.  With m = len(vertices) =
     k no saturation reaches k: one descent, greedy DSATUR, spends m + 1.
@@ -101,26 +117,31 @@ def _dsatur_decide(
     index = {v: i for i, v in enumerate(vertices)}
     local_adj = [[index[w] for w in adj[v] if w in index] for v in vertices]
     m = len(vertices)
+    top = max(map(len, local_adj), default=0)
+    step = (top + 1) * m
+    base = [(top - len(a)) * m + v for v, a in enumerate(local_adj)]
     colors = [-1] * m
-    neighbor_colors = [set() for _ in range(m)]
-    degrees = [len(a) for a in local_adj]
-    heap: list[tuple[int, int, int]] = [(0, -degrees[v], v) for v in range(m)]
+    masks = [0] * m
+    sat = [0] * m
+    heap = [k * step + b for b in base]
     heapq.heapify(heap)
+    live = set(heap)
+    push, pop = heapq.heappush, heapq.heappop
     uncolored = m
 
     def pick() -> int:
         while True:
             while heap:
-                neg_sat, _neg_deg, v = heap[0]
-                if colors[v] < 0 and -neg_sat == len(neighbor_colors[v]):
+                key = heap[0]
+                v = key % m
+                if colors[v] < 0 and key == (k - sat[v]) * step + base[v]:
                     return v
-                heapq.heappop(heap)
+                live.remove(pop(heap))
             # A backtrack uncolours a vertex without re-pushing it, so the
             # heap can run dry while vertices are left: refill it from them.
-            heap.extend(
-                (-len(neighbor_colors[v]), -degrees[v], v) for v in range(m) if colors[v] < 0
-            )
+            heap.extend((k - sat[v]) * step + base[v] for v in range(m) if colors[v] < 0)
             heapq.heapify(heap)
+            live.update(heap)
 
     # frame: [vertex, colours in use when it was picked, its colour (-1
     # before the first try), the neighbours whose saturation that colour raised]
@@ -137,27 +158,37 @@ def _dsatur_decide(
             if c >= 0:  # everything below colour c failed: take it back
                 colors[v] = -1
                 uncolored += 1
+                bit = 1 << c
                 for w in touched:
-                    neighbor_colors[w].remove(c)
-                    heapq.heappush(heap, (-len(neighbor_colors[w]), -degrees[w], w))
+                    masks[w] ^= bit
+                    s = sat[w] = sat[w] - 1
+                    key = (k - s) * step + base[w]
+                    if key not in live:
+                        live.add(key)
+                        push(heap, key)
             limit = min(k, used + 1)
             c += 1
-            while c < limit and c in neighbor_colors[v]:
+            mask = masks[v]
+            while c < limit and mask >> c & 1:
                 c += 1
             if c == limit:
                 stack.pop()
                 continue
             colors[v] = c
             uncolored -= 1
+            bit = 1 << c
             touched = []
             dead_end = False
             for w in local_adj[v]:
-                if colors[w] < 0 and c not in neighbor_colors[w]:
-                    neighbor_colors[w].add(c)
+                if colors[w] < 0 and not masks[w] & bit:
+                    masks[w] |= bit
                     touched.append(w)
-                    sat = len(neighbor_colors[w])
-                    heapq.heappush(heap, (-sat, -degrees[w], w))
-                    if sat >= k:
+                    s = sat[w] = sat[w] + 1
+                    key = (k - s) * step + base[w]
+                    if key not in live:
+                        live.add(key)
+                        push(heap, key)
+                    if s >= k:
                         dead_end = True
             frame[2], frame[3] = c, touched
             if not dead_end:

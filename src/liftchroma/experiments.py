@@ -44,6 +44,7 @@ from .coloring import (
     chromatic_number,
     count_proper_colorings,
     count_strongly_equitable,
+    node_budget,
 )
 from .errors import BudgetExhaustedError, InvalidConfigError, UndefinedRatioError
 from .lift import MAX_CYCLE_LENGTH, Lift, count_cycles_up_to, enumerate_lifts, expand, sample_lift
@@ -58,7 +59,8 @@ def make_statistic(
 
     ``budget`` is the budget of each exact solver call (chi, X, Y), one unit
     per search node (chi, Y) or kernel transition (X); None defers to
-    LIFTCHROMA_BUDGET or the default (coloring.node_budget).
+    LIFTCHROMA_BUDGET or the default (coloring.node_budget), read here, so
+    that a campaign refuses a bad LIFTCHROMA_BUDGET before its first cell.
     """
     m = _STAT_RE.match(name)
     if not m:
@@ -69,6 +71,8 @@ def make_statistic(
         raise InvalidConfigError(f"statistic {name!r} needs an integer k >= 1, got {k!r}")
     if kind in ("Z", "YZ") and not 2 <= j <= MAX_CYCLE_LENGTH:
         raise InvalidConfigError(f"{name!r}: cycle length not in 2..{MAX_CYCLE_LENGTH}")
+    if kind != "Z":
+        budget = node_budget(budget)
 
     def strict_equitable(lift: Lift) -> int:
         if lift.n % k != 0:
@@ -227,7 +231,7 @@ class CampaignConfig:
         if not self.statistics:
             raise InvalidConfigError("need at least one statistic")
         for s in self.statistics:
-            make_statistic(s, self.k)
+            make_statistic(s, self.k, self.budget)
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))

@@ -139,6 +139,16 @@ def test_cli_errors_are_one_usage_line(capsys, argv, message):
     assert last.endswith(message)
 
 
+def test_chromatic_refuses_a_zero_budget(capsys, monkeypatch):
+    # a zero budget used to end every sample as "search node budget exhausted"
+    monkeypatch.setenv("LIFTCHROMA_BUDGET", "0")
+    with pytest.raises(SystemExit) as exc:
+        main(["chromatic", "--graph", "K5", "--n", "20"])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == "liftchroma chromatic: error: LIFTCHROMA_BUDGET must be an integer >= 1, got '0'"
+
+
 def test_tau_cli(capsys, tmp_path):
     path = tmp_path / "c6.txt"
     # C_6 viewed as a multigraph file: 6 spanning trees

@@ -1,6 +1,7 @@
 import gc
 import heapq
 import os
+import random
 import subprocess
 import sys
 
@@ -207,15 +208,25 @@ def test_budget_env_override(monkeypatch, k5):
     assert node_budget() == 123
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "1e4", "abc"])
+def test_budget_env_must_be_a_positive_integer(monkeypatch, value):
+    # 0 and -3 used to censor every search; 1e4 and abc failed with int()'s
+    # message, which does not name the variable
+    monkeypatch.setenv("LIFTCHROMA_BUDGET", value)
+    with pytest.raises(ValueError, match=f"LIFTCHROMA_BUDGET must be an integer >= 1, got '{value}'"):
+        node_budget()
+
+
 def test_budget_exhaustion_signals_unknown(k5):
     lg = expand(sample_lift(k5, 4, 0))  # 4-regular, so k=3 needs real search
     with pytest.raises(BudgetExhaustedError):
         is_k_colorable(lg, 3, budget=2)
 
 
-def _oracle_dsatur_decide(adj, vertices, k, budget) -> bool:
+def _oracle_dsatur_decide(adj, vertices, k, budget):
     """The recursive DSATUR that the explicit-stack search replaced: one
-    Python frame per coloured vertex."""
+    Python frame per coloured vertex, tuple heap entries and colour sets.
+    Returns its colouring or None."""
     index = {v: i for i, v in enumerate(vertices)}
     local_adj = [[index[w] for w in adj[v] if w in index] for v in vertices]
     m = len(vertices)
@@ -266,39 +277,71 @@ def _oracle_dsatur_decide(adj, vertices, k, budget) -> bool:
                 heapq.heappush(heap, (-len(neighbor_colors[w]), -degrees[w], w))
         return False
 
-    return solve(0)
+    return colors if solve(0) else None
 
 
-def _dsatur_outcome(decide, adj, comp, k, limit):
+def _dsatur_search(decide, adj, comp, k, limit):
+    """(the colouring found, as a tuple, False if there is none or None if
+    the budget ran out; the budget left)."""
     budget = _Budget(limit)
     try:
         answer = decide(adj, comp, k, budget)
     except BudgetExhaustedError:
         return None, budget.left
-    if decide is not _dsatur_decide or answer is None:
-        return bool(answer), budget.left
-    # a colouring counts as True only once it is checked: proper on the
-    # component, in at most k colours
+    if answer is None:
+        return False, budget.left
+    # a colouring counts only once it is checked: proper on the component,
+    # in at most k colours
     colour = dict(zip(comp, answer))
     assert len(answer) == len(comp) and set(answer) <= set(range(k))
     assert all(colour[v] != colour[w] for v in comp for w in adj[v])
-    return True, budget.left
+    return tuple(answer), budget.left
 
 
-def test_dsatur_equals_recursive_oracle():
-    # same answer and the same nodes left in the budget, censored searches
-    # included, on every component of seeded K5 and K6 lifts for each k
-    # below the degree; n = 4 gives the exhausted (False) searches
-    outcomes = set()
-    for m, n, seeds in [(5, 100, range(6)), (6, 20, range(3)), (6, 4, range(6))]:
+def _dsatur_outcome(decide, adj, comp, k, limit):
+    """_dsatur_search with True for a colouring."""
+    answer, left = _dsatur_search(decide, adj, comp, k, limit)
+    return answer and True, left
+
+
+def _matching_union(p: int, d: int, seed: int) -> BaseGraph:
+    """d seeded perfect matchings on 2p vertices: a d-regular multigraph."""
+    rng = random.Random(seed)
+    edges = []
+    for _ in range(d):
+        vs = rng.sample(range(2 * p), 2 * p)
+        edges += zip(vs[::2], vs[1::2])
+    return BaseGraph(2 * p, tuple(edges))
+
+
+def test_dsatur_equals_recursive_oracle(doubled_triangle):
+    # the same colouring (or none) and the same nodes left in the budget,
+    # censored searches included, on every component of seeded lifts for
+    # each k from 3 to below the degree; n = 4 gives the exhausted (False)
+    # searches.  K5 and K6 lifts are regular.  Lifts of multigraphs are not
+    # always: parallel edges can lift onto one edge, so only these test the
+    # degree tie-break of the pick.
+    cases = [(make_complete_graph(5), 100, range(6)), (make_complete_graph(6), 20, range(3)),
+             (make_complete_graph(6), 4, range(6)), (doubled_triangle, 30, range(6))]
+    cases += [(_matching_union(p, d, seed), n, range(3))
+              for seed, (p, d, n) in enumerate([(2, 5, 20), (3, 5, 20), (3, 6, 10), (4, 5, 10)])]
+    outcomes, irregular = set(), 0
+    for base, n, seeds in cases:
         for seed in seeds:
-            adj = expand(sample_lift(make_complete_graph(m), n, seed)).simple_adjacency
-            for k in range(3, m - 1):
+            adj = expand(sample_lift(base, n, seed)).simple_adjacency
+            irregular += len({len(a) for a in adj}) > 1
+            for k in range(3, base.degree):
                 for comp, _ in connected_components(adj):
-                    want = _dsatur_outcome(_oracle_dsatur_decide, adj, comp, k, 20_000)
-                    assert _dsatur_outcome(_dsatur_decide, adj, comp, k, 20_000) == want
-                    outcomes.add(want[0])
+                    want = _dsatur_search(_oracle_dsatur_decide, adj, comp, k, 20_000)
+                    assert _dsatur_search(_dsatur_decide, adj, comp, k, 20_000) == want
+                    outcomes.add(want[0] and True)
+            # the k = m first descent that chromatic_bounds takes its bound from
+            m = len(adj)
+            want = _dsatur_search(_oracle_dsatur_decide, adj, range(m), m, m + 1)
+            assert want[1] == 0
+            assert _dsatur_search(_dsatur_decide, adj, range(m), m, m + 1) == want
     assert outcomes == {True, False, None}
+    assert irregular >= 15
 
 
 def test_dsatur_refills_a_dry_heap():
@@ -320,11 +363,13 @@ def test_dsatur_refills_a_dry_heap():
         state = frame.f_locals
         colors = state["colors"]
         if event == "call":
-            live = [
-                v for neg_sat, _, v in state["heap"]
-                if colors[v] < 0 and -neg_sat == len(state["neighbor_colors"][v])
-            ]
-            dry_calls.append(not live)
+            k, m, step, sat, base = (state[x] for x in ("k", "m", "step", "sat", "base"))
+
+            def is_live(key):  # v's key while v is uncoloured, at its saturation
+                v = key % m
+                return colors[v] < 0 and key == (k - sat[v]) * step + base[v]
+
+            dry_calls.append(not any(map(is_live, state["heap"])))
         elif event == "return":
             picks.append(0 <= arg < len(colors) and colors[arg] < 0)
 

@@ -281,6 +281,17 @@ def test_censoring_reported(monkeypatch):
         mc_expectation(k6, 5, None, "chi", samples=3, seed=0)
 
 
+def test_campaign_refuses_a_bad_budget_env_before_any_cell(tmp_path, monkeypatch):
+    # the Z3 cell used to run in full before the first chi sample refused it
+    monkeypatch.setenv("LIFTCHROMA_BUDGET", "abc")
+    config = CampaignConfig(
+        graph="K4", n_values=[10], k=None, statistics=["Z3", "chi"], samples=3, seed=0,
+        output_prefix=str(tmp_path / "bad"),
+    )
+    with pytest.raises(ValueError, match="LIFTCHROMA_BUDGET"):
+        config.validate_config()
+
+
 def test_campaign_budget_reaches_solver(tmp_path, monkeypatch):
     # the config's budget, not only LIFTCHROMA_BUDGET, bounds each solver call
     monkeypatch.delenv("LIFTCHROMA_BUDGET", raising=False)
