@@ -16,14 +16,19 @@ descent over the whole graph is the greedy upper bound of
 chromatic_bounds.  It keeps each vertex's neighbour colours as an int
 bitmask and picks from one lazy heap of int keys, each packing a
 (saturation, degree, vertex) triple and pushed only if the heap does not
-hold it yet.  The proper count runs the frontier programme that also
-sums E[X] and E[Y^2] (moments_exact.frontier_sum); the strongly equitable
-count is a search over canonical colourings.
+hold it yet.  is_k_colorable gives a component of m vertices three phases
+on one budget: DSATUR on a slice of 2m units; if that censors, a seeded
+tabu search from the greedy colouring, at most m moves, whose colouring
+counts once checked proper; if none, DSATUR from scratch on the rest.
+Only DSATUR answers "not k-colourable".  The proper count runs the
+frontier programme that also sums E[X] and E[Y^2]
+(moments_exact.frontier_sum); the strongly equitable count is a search
+over canonical colourings.
 
-Every solver honours a budget, one unit per search node or per kernel
-transition; exhausting it raises BudgetExhaustedError ("unknown"), never a
-wrong answer.  The default budget is 10**8 units and can be overridden with
-the LIFTCHROMA_BUDGET env var.
+Every solver honours a budget, one unit per search node, tabu move or
+kernel transition; exhausting it raises BudgetExhaustedError ("unknown"),
+never a wrong answer.  The default budget is 10**8 units and can be
+overridden with the LIFTCHROMA_BUDGET env var.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import heapq
 import operator
 import os
+import random
 from functools import partial
 from typing import Sequence
 
@@ -92,12 +98,19 @@ def greedy_clique(lg: LiftedGraph) -> int:
     return best
 
 
+def _local_adjacency(adj: Sequence[Sequence[int]], comp: Sequence[int]) -> list[list[int]]:
+    """``adj`` on a union of components, each vertex renumbered by its
+    position in ``comp``."""
+    index = {v: i for i, v in enumerate(comp)}
+    return [[index[w] for w in adj[v]] for v in comp]
+
+
 def _dsatur_decide(
-    adj: Sequence[Sequence[int]], vertices: Sequence[int], k: int, budget: _Budget
+    local_adj: Sequence[Sequence[int]], k: int, budget: _Budget
 ) -> list[int] | None:
-    """A k-colouring of ``vertices`` (a colour per position), or None if
-    there is none: backtracking DSATUR on an explicit stack, so no size can
-    overflow the Python stack; each node costs one unit of ``budget``.
+    """A k-colouring of the graph ``local_adj`` (vertices 0..m-1), or None
+    if there is none: backtracking DSATUR on an explicit stack, so no size
+    can overflow the Python stack; each node costs one unit of ``budget``.
 
     The next vertex is the uncoloured one with the most neighbour colours,
     then the highest degree, then the lowest index; it tries its free
@@ -111,12 +124,10 @@ def _dsatur_decide(
     it (``live``); equal keys would be popped or picked together, so this
     changes no pick.  A backtrack uncolours a vertex without a new key, so
     until its saturation changes or the heap runs dry a pick may pass it
-    over for a vertex that is not that minimum.  With m = len(vertices) =
+    over for a vertex that is not that minimum.  With m = len(local_adj) =
     k no saturation reaches k: one descent, greedy DSATUR, spends m + 1.
     """
-    index = {v: i for i, v in enumerate(vertices)}
-    local_adj = [[index[w] for w in adj[v] if w in index] for v in vertices]
-    m = len(vertices)
+    m = len(local_adj)
     top = max(map(len, local_adj), default=0)
     step = (top + 1) * m
     base = [(top - len(a)) * m + v for v, a in enumerate(local_adj)]
@@ -198,14 +209,75 @@ def _dsatur_decide(
             return None
 
 
+def _tabucol(
+    local_adj: Sequence[Sequence[int]], k: int, start: list[int], budget: _Budget,
+    rng: random.Random,
+) -> list[int] | None:
+    """A k-colouring found by tabu search (Hertz & de Werra 1987), or None.
+
+    Each vertex that ``start`` colours k or higher takes, in index order,
+    the colour below k that the fewest neighbours have.  Then at most m =
+    len(local_adj) moves, one unit of ``budget`` each, recolour a vertex
+    with a conflict: the move that lowers the conflict count most, unless
+    it is tabu and does not beat the best count yet seen; ties go to
+    ``rng``.  A vertex that leaves colour c at move t may not take it back
+    before move t + rand(10) + floor(0.6 * vertices then in conflict).
+    """
+    m = len(local_adj)
+    colors = [c if c < k else -1 for c in start]
+    seen = [[0] * k for _ in range(m)]  # seen[v][c]: neighbours of v coloured c
+    for v in sorted(range(m), key=lambda v: colors[v] < 0):  # the uncoloured last
+        if colors[v] < 0:
+            colors[v] = seen[v].index(min(seen[v]))
+        for w in local_adj[v]:
+            seen[w][colors[v]] += 1
+    conflicting = {v for v in range(m) if seen[v][colors[v]]}
+    conflicts = best = sum(seen[v][colors[v]] for v in conflicting) // 2
+    tabu = [[0] * k for _ in range(m)]
+    it = 0
+    while conflicts and it < m:
+        budget.spend()
+        delta, moves = m, []
+        for v in conflicting:
+            here, free = seen[v][colors[v]], tabu[v]
+            for c, d in enumerate(seen[v]):
+                d -= here
+                if c != colors[v] and d <= delta and (free[c] <= it or conflicts + d < best):
+                    if d < delta:
+                        delta, moves = d, []
+                    moves.append((v, c))
+        if moves:
+            v, c = moves[rng.randrange(len(moves))]
+            old, colors[v] = colors[v], c
+            conflicts += delta
+            best = min(best, conflicts)
+            for w in local_adj[v]:
+                seen[w][old] -= 1
+                seen[w][c] += 1
+            for w in (v, *local_adj[v]):
+                if seen[w][colors[w]]:
+                    conflicting.add(w)
+                else:
+                    conflicting.discard(w)
+            tabu[v][old] = it + rng.randrange(10) + int(0.6 * len(conflicting))
+        it += 1
+    return None if conflicts else colors
+
+
 def is_k_colorable(lg: LiftedGraph, k: int, budget: int | None = None) -> bool:
     """Exact decision, component by component.
 
     Components with maximum degree below k are colourable greedily; those
     with maximum degree exactly k are settled by the Brooks criterion
     (k-colourable unless the component is K_{k+1}, or an odd cycle when
-    k = 2).  Only components with maximum degree above k go to the DSATUR
-    backtracking search.
+    k = 2).  Only components with maximum degree above k are searched, in
+    three phases that all spend the one budget.  DSATUR runs on a slice of
+    2m units, m the component's size, which decides most easy components.
+    If that censors, _tabucol starts from the greedy DSATUR colouring (m +
+    1 units) with a Random seeded by m and the component's least vertex; a
+    colouring it finds counts once checked proper.  If it finds none,
+    DSATUR runs from scratch on the rest.  Only DSATUR answers False, and
+    every way out of budget raises BudgetExhaustedError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -230,7 +302,24 @@ def is_k_colorable(lg: LiftedGraph, k: int, budget: int | None = None) -> bool:
             if not bipartite:
                 return False
             continue
-        if _dsatur_decide(adj, comp, k, b) is None:
+        local = _local_adjacency(adj, comp)
+        m = len(local)
+        rest = b.left - min(b.left, 2 * m)
+        b.left -= rest
+        try:  # DSATUR on a slice of 2m units
+            found = _dsatur_decide(local, k, b)
+            b.left += rest
+        except BudgetExhaustedError:
+            b.left = rest  # the slice is spent; tabu search from greedy DSATUR
+            rng = random.Random(m << 32 | comp[0])
+            found = _tabucol(local, k, _dsatur_decide(local, m, b), b, rng)
+            if found is None:  # DSATUR from scratch on the rest
+                found = _dsatur_decide(local, k, b)
+            elif len(found) != m or not set(found) <= set(range(k)) or any(
+                found[v] == found[w] for v, a in enumerate(local) for w in a
+            ):
+                raise AssertionError("tabu search returned an improper colouring")
+        if found is None:
             return False
     return True
 
@@ -272,7 +361,7 @@ def chromatic_bounds(
     if lo <= 1:
         return (lo, lo)
     m = lg.num_vertices
-    hi = 1 + max(_dsatur_decide(lg.simple_adjacency, range(m), m, _Budget(m + 1)))
+    hi = 1 + max(_dsatur_decide(lg.simple_adjacency, m, _Budget(m + 1)))
     while hi > lo:
         try:
             if is_k_colorable(lg, hi - 1, budget=refine_budget):

@@ -26,6 +26,8 @@ from liftchroma.coloring import (
     EquitableSpec,
     _Budget,
     _dsatur_decide,
+    _local_adjacency,
+    _tabucol,
     chromatic_bounds,
     chromatic_number,
     count_proper_colorings,
@@ -223,13 +225,11 @@ def test_budget_exhaustion_signals_unknown(k5):
         is_k_colorable(lg, 3, budget=2)
 
 
-def _oracle_dsatur_decide(adj, vertices, k, budget):
+def _oracle_dsatur_decide(local_adj, k, budget):
     """The recursive DSATUR that the explicit-stack search replaced: one
-    Python frame per coloured vertex, tuple heap entries and colour sets.
-    Returns its colouring or None."""
-    index = {v: i for i, v in enumerate(vertices)}
-    local_adj = [[index[w] for w in adj[v] if w in index] for v in vertices]
-    m = len(vertices)
+    Python frame per coloured vertex, tuple heap entries and colour sets,
+    with the search's refill of a dry heap.  Returns its colouring or None."""
+    m = len(local_adj)
     colors = [-1] * m
     neighbor_colors = [set() for _ in range(m)]
     degrees = [len(a) for a in local_adj]
@@ -244,7 +244,11 @@ def _oracle_dsatur_decide(adj, vertices, k, budget):
                 heapq.heappop(heap)
                 continue
             return v
-        return -1
+        # dry: refill from the uncoloured vertices, as the search does; a -1
+        # here would recolour the last vertex and return improper colourings
+        heap.extend((-len(neighbor_colors[v]), -degrees[v], v) for v in range(m) if colors[v] < 0)
+        heapq.heapify(heap)
+        return pick()
 
     def solve(used: int) -> bool:
         nonlocal uncolored
@@ -285,7 +289,7 @@ def _dsatur_search(decide, adj, comp, k, limit):
     the budget ran out; the budget left)."""
     budget = _Budget(limit)
     try:
-        answer = decide(adj, comp, k, budget)
+        answer = decide(_local_adjacency(adj, comp), k, budget)
     except BudgetExhaustedError:
         return None, budget.left
     if answer is None:
@@ -384,6 +388,141 @@ def test_dsatur_refills_a_dry_heap():
     assert outcome == (True, 20_000 - 265)
 
 
+def _certificate_lifts(doubled_triangle):
+    """Seeded lifts on which DSATUR's 2m slice often censors at k = 3; the
+    K6 lifts with n = 4 and 8 are mostly not 3-colourable, and the last
+    DSATUR phase decides several."""
+    k5, k6 = make_complete_graph(5), make_complete_graph(6)
+    cases = [(k6, 4, range(4)), (k6, 8, range(2)), (k5, 30, range(8)), (k5, 100, range(8)),
+             (k6, 20, range(4)), (doubled_triangle, 30, range(6))]
+    return [expand(sample_lift(base, n, seed)) for base, n, seeds in cases for seed in seeds]
+
+
+def test_tabu_certificates_are_proper_and_agree_with_the_oracle(doubled_triangle):
+    # every colouring the tabu phase returns is a proper k-colouring, and
+    # is_k_colorable gives the recursive oracle's answer wherever both decide
+    found, agreed = 0, []
+    for lg in _certificate_lifts(doubled_triangle):
+        adj = lg.simple_adjacency
+        oracle = True
+        for comp, _ in connected_components(adj):
+            local = _local_adjacency(adj, comp)
+            m = len(local)
+            start = _dsatur_decide(local, m, _Budget(m + 1))
+            colors = _tabucol(local, 3, start, _Budget(m), random.Random(m))
+            if colors is not None:
+                found += 1
+                assert len(colors) == m and set(colors) <= {0, 1, 2}
+                assert all(colors[v] != colors[w] for v in range(m) for w in local[v])
+            answer, _ = _dsatur_outcome(_oracle_dsatur_decide, adj, comp, 3, 20_000)
+            oracle = None if answer is None or oracle is None else oracle and answer
+        try:
+            decided = is_k_colorable(lg, 3, budget=20_000)
+        except BudgetExhaustedError:
+            continue
+        if oracle is not None:
+            assert decided == oracle
+            agreed.append(decided)
+    assert found >= 20 and agreed.count(True) >= 15 and agreed.count(False) >= 4
+
+
+def _slice_censored_lift():
+    """A K5 lift whose 1000-unit DSATUR slice censors at k = 3."""
+    return expand(sample_lift(make_complete_graph(5), 100, 4))
+
+
+@pytest.mark.parametrize(
+    "bad", [lambda m: [0] * m, lambda m: list(range(m)), lambda m: [0, 1, 2] * m]
+)
+def test_an_improper_certificate_raises(monkeypatch, bad):
+    # a tabu search that returns a colouring with a monochromatic edge, one
+    # with a colour >= k, or one of the wrong length is refused, by a check
+    # that python -O keeps
+    monkeypatch.setattr(coloring, "_tabucol", lambda local_adj, *rest: bad(len(local_adj)))
+    with pytest.raises(AssertionError, match="improper colouring"):
+        is_k_colorable(_slice_censored_lift(), 3, budget=10_000)
+
+
+def _counting_budgets(monkeypatch):
+    """The budgets is_k_colorable builds, each counting the units it gave."""
+    budgets = []
+
+    class CountingBudget(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            self.limit, self.spent = limit, 0
+            budgets.append(self)
+
+        def spend(self):
+            super().spend()
+            self.spent += 1
+
+    monkeypatch.setattr(coloring, "_Budget", CountingBudget)
+    return budgets
+
+
+def _tabu_calls(monkeypatch):
+    """A list that gets one entry per call of the tabu search."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return tabu(*args)
+
+    tabu = coloring._tabucol
+    monkeypatch.setattr(coloring, "_tabucol", recorded)
+    return calls
+
+
+def test_phases_spend_at_most_the_budget(monkeypatch, doubled_triangle):
+    # the slice, the greedy start, the moves and the fallback all come out
+    # of the one budget: a censored call spent all of it, a decided one no
+    # more, and budget.left is what it did not spend
+    budgets, calls = _counting_budgets(monkeypatch), _tabu_calls(monkeypatch)
+    outcomes = set()
+    for lg in [_slice_censored_lift(), *_certificate_lifts(doubled_triangle)[:12]]:
+        m = lg.num_vertices
+        for limit in (1, m, 2 * m, 2 * m + 1, 3 * m + 1, 3 * m + 5, 4 * m, 10_000):
+            try:
+                is_k_colorable(lg, 3, budget=limit)
+                decided = True
+            except BudgetExhaustedError:
+                decided = False
+            b = budgets[-1]
+            assert b.limit == limit and b.spent <= limit
+            if decided:
+                assert b.left == limit - b.spent
+            else:
+                assert b.spent == limit
+            outcomes.add(decided)
+    assert outcomes == {True, False} and calls
+
+
+def test_no_tabu_move_within_the_slice(monkeypatch):
+    # with a budget of at most 2m units the slice is all there is
+    calls = _tabu_calls(monkeypatch)
+    lg = _slice_censored_lift()
+    for limit in (1, 500, 999, 1000):
+        with pytest.raises(BudgetExhaustedError):
+            is_k_colorable(lg, 3, budget=limit)
+    assert not calls
+    assert is_k_colorable(lg, 3, budget=10_000) and calls
+
+
+def test_certified_answers_are_deterministic(monkeypatch, doubled_triangle):
+    # the same lift twice gives the same answer and the same budget left
+    budgets = _counting_budgets(monkeypatch)
+    for lg in [_slice_censored_lift(), *_certificate_lifts(doubled_triangle)]:
+        runs = []
+        for _ in range(2):
+            try:
+                answer = is_k_colorable(lg, 3, budget=5_000)
+            except BudgetExhaustedError:
+                answer = None
+            runs.append((answer, budgets[-1].left))
+        assert runs[0] == runs[1]
+
+
 def test_chromatic_bounds_bracket(k4):
     lg = expand(sample_lift(k4, 30, 1))
     lo, hi = chromatic_bounds(lg)
@@ -425,7 +564,7 @@ def test_greedy_upper_equals_scan_oracle(k4, petersen):
             components += len(connected_components(adj)) > 1
             m = len(adj)
             budget = _Budget(m + 1)
-            first_descent = _dsatur_decide(adj, range(m), m, budget)
+            first_descent = _dsatur_decide(adj, m, budget)
             assert 1 + max(first_descent) == _oracle_greedy_upper(adj)
             assert budget.left == 0  # one descent, no backtrack
     assert components >= 6  # at least every lift of the two K4s

@@ -4,8 +4,13 @@ from fractions import Fraction
 import pytest
 
 from liftchroma import experiments
-from liftchroma.base_graph import make_complete_graph
-from liftchroma.coloring import count_strongly_equitable
+from liftchroma.base_graph import connected_components, make_complete_graph
+from liftchroma.coloring import (
+    _Budget,
+    _dsatur_decide,
+    _local_adjacency,
+    count_strongly_equitable,
+)
 from liftchroma.errors import (
     BudgetExhaustedError,
     InvalidConfigError,
@@ -311,9 +316,14 @@ def test_campaign_budget_reaches_solver(tmp_path, monkeypatch):
 
 def test_chi_of_large_k5_lifts_is_censored_not_crashed(k5):
     # 1500 vertices: the recursive DSATUR took one Python frame per coloured
-    # vertex and raised RecursionError here
+    # vertex and raised RecursionError here.  DSATUR alone censors sample 0
+    # at this budget; the tabu search's certificate now decides it.
     rec = mc_expectation(k5, 300, None, "chi", samples=3, seed=1, budget=20_000)
-    assert (rec.mean, rec.censored) == (3.0, 1)
+    assert (rec.mean, rec.censored) == (3.0, 0)
+    adj = expand(sample_lift(k5, 300, sample_seed(1, 0, 0))).simple_adjacency
+    [(comp, _)] = connected_components(adj)
+    with pytest.raises(BudgetExhaustedError):
+        _dsatur_decide(_local_adjacency(adj, comp), 3, _Budget(20_000))
 
 
 def test_seed_expansion_is_stable():
