@@ -11,19 +11,20 @@ each of colours r..k-1, where n = q*k + r.  For r = 0 this is the plain
 quota is part of the definition, so counts are not symmetric under colour
 relabelling when 0 < r.
 
-One backtracking DSATUR search decides k-colourability, and its first
-descent over the whole graph is the greedy upper bound of
-chromatic_bounds.  It keeps each vertex's neighbour colours as an int
-bitmask and picks from one lazy heap of int keys, each packing a
-(saturation, degree, vertex) triple and pushed only if the heap does not
-hold it yet.  is_k_colorable gives a component of m vertices three phases
-on one budget: DSATUR on a slice of 2m units; if that censors, a seeded
-tabu search from the greedy colouring, at most m moves, whose colouring
-counts once checked proper; if none, DSATUR from scratch on the rest.
-Only DSATUR answers "not k-colourable".  The proper count runs the
-frontier programme that also sums E[X] and E[Y^2]
-(moments_exact.frontier_sum); the strongly equitable count is a search
-over canonical colourings.
+chromatic_bounds is the one chromatic-number routine (chromatic_number
+runs it at the full budget): k climbs from an exact clique floor, and once
+a decision censors, the upper bound is greedy DSATUR, the first descent of
+the backtracking DSATUR search that decides k-colourability.  That search
+keeps each vertex's neighbour colours as an int bitmask and picks from one
+lazy heap of int keys, each packing a (saturation, degree, vertex) triple
+and pushed only if the heap does not hold it yet.  is_k_colorable gives a
+component of m vertices three phases on one budget: DSATUR on a slice of
+2m units; if that censors, a seeded tabu search from the greedy colouring,
+at most m moves, whose colouring counts once checked proper; if none,
+DSATUR from scratch on the rest.  Only DSATUR answers "not k-colourable".
+The proper count runs the frontier programme that also sums E[X] and
+E[Y^2] (moments_exact.frontier_sum); the strongly equitable count is a
+search over canonical colourings.
 
 Every solver honours a budget, one unit per search node, tabu move or
 kernel transition; exhausting it raises BudgetExhaustedError ("unknown"),
@@ -37,6 +38,8 @@ import heapq
 import operator
 import os
 import random
+from bisect import bisect_right
+from contextlib import suppress
 from functools import partial
 from typing import Sequence
 
@@ -82,19 +85,32 @@ def is_bipartite(lg: LiftedGraph) -> bool:
     return all(bipartite for _, bipartite in connected_components(lg.simple_adjacency))
 
 
-def greedy_clique(lg: LiftedGraph) -> int:
-    """Greedy clique lower bound for the chromatic number."""
-    adj = [set(a) for a in lg.simple_adjacency]
-    if lg.num_vertices == 0:
-        return 0
-    best = 1
-    order = sorted(range(lg.num_vertices), key=lambda v: -len(adj[v]))
-    for s in order[: min(len(order), 50)]:
-        clique = {s}
-        for w in sorted(adj[s], key=lambda v: -len(adj[v])):
-            if all(w in adj[c] for c in clique):
-                clique.add(w)
-        best = max(best, len(clique))
+def greedy_clique(lg: LiftedGraph, budget: int | None = None) -> int:
+    """Clique number, a lower bound for the chromatic number: Carraghan &
+    Pardalos (1990) on an explicit stack.  Cliques grow from each vertex
+    through its higher-index neighbours; a branch is pruned once its size
+    plus its candidates cannot beat the best.  One unit of ``budget`` per
+    search node; out of budget, the largest clique found so far, still a
+    lower bound.  The name is kept for the benchmark's span."""
+    adj = lg.simple_adjacency
+    nbrs = list(map(set, adj))
+    left = node_budget(budget)
+    best = min(1, len(adj))
+    # nodes (clique size, candidates); low roots have the most candidates, so
+    # vertex 0's goes on top and large cliques turn up first
+    stack = [(1, a[bisect_right(a, v):]) for v, a in reversed(list(enumerate(adj)))]
+    while stack and left:
+        size, cand = stack.pop()
+        if size + len(cand) <= best:
+            continue
+        left -= 1
+        w, rest = cand[0], cand[1:]
+        stack.append((size, rest))  # the siblings after w
+        if size >= best:
+            best = size + 1
+        sub = [x for x in rest if x in nbrs[w]]
+        if sub:
+            stack.append((size + 1, sub))
     return best
 
 
@@ -267,12 +283,13 @@ def _tabucol(
 def is_k_colorable(lg: LiftedGraph, k: int, budget: int | None = None) -> bool:
     """Exact decision, component by component.
 
-    Components with maximum degree below k are colourable greedily; those
+    k <= 2 needs no search: k = 2 is bipartiteness.  For k >= 3,
+    components with maximum degree below k are colourable greedily; those
     with maximum degree exactly k are settled by the Brooks criterion
-    (k-colourable unless the component is K_{k+1}, or an odd cycle when
-    k = 2).  Only components with maximum degree above k are searched, in
-    three phases that all spend the one budget.  DSATUR runs on a slice of
-    2m units, m the component's size, which decides most easy components.
+    (k-colourable unless the component is K_{k+1}).  Only components with
+    maximum degree above k are searched, in three phases that all spend the
+    one budget.  DSATUR runs on a slice of 2m units, m the component's
+    size, which decides most easy components.
     If that censors, _tabucol starts from the greedy DSATUR colouring (m +
     1 units) with a Random seeded by m and the component's least vertex; a
     colouring it finds counts once checked proper.  If it finds none,
@@ -286,21 +303,13 @@ def is_k_colorable(lg: LiftedGraph, k: int, budget: int | None = None) -> bool:
         return lg.num_vertices == 0
     if k == 1:
         return all(len(a) == 0 for a in adj)
+    if k == 2:
+        return is_bipartite(lg)
     b = _Budget(node_budget(budget))
-    for comp, bipartite in connected_components(adj):
-        if len(comp) <= k:
-            continue
-        comp_max_deg = max(len(adj[v]) for v in comp)
-        if k > comp_max_deg:
-            continue
-        if k == comp_max_deg:
-            if k >= 3:
-                if len(comp) == k + 1 and all(len(adj[v]) == k for v in comp):
-                    return False
-                continue
-            # k == 2: 2-colourable iff the component has no odd cycle.
-            if not bipartite:
-                return False
+    for comp, _ in connected_components(adj):
+        if max(len(adj[v]) for v in comp) <= k:  # greedy, or Brooks
+            if len(comp) == k + 1 and all(len(adj[v]) == k for v in comp):
+                return False  # K_{k+1}
             continue
         local = _local_adjacency(adj, comp)
         m = len(local)
@@ -324,52 +333,42 @@ def is_k_colorable(lg: LiftedGraph, k: int, budget: int | None = None) -> bool:
     return True
 
 
-def _chromatic_floor(lg: LiftedGraph) -> int:
-    """Lower bound for the chromatic number: 0 with no vertices, 1 with no
-    edges, 2 if bipartite, otherwise max(3, greedy clique)."""
-    if lg.num_vertices == 0:
-        return 0
-    if all(len(a) == 0 for a in lg.simple_adjacency):
-        return 1
-    if is_bipartite(lg):
-        return 2
-    return max(3, greedy_clique(lg))
-
-
 def chromatic_number(lg: LiftedGraph, budget: int | None = None) -> int:
-    """Smallest k admitting a proper k-colouring."""
-    k = _chromatic_floor(lg)
-    if k <= 2:
-        return k
-    while not is_k_colorable(lg, k, budget=budget):
-        k += 1
-    return k
+    """Smallest k admitting a proper k-colouring: chromatic_bounds with the
+    full budget for each decision.  A bracket left open raises
+    BudgetExhaustedError, whose message names it."""
+    lo, hi = chromatic_bounds(lg, node_budget(budget))
+    if lo < hi:
+        raise BudgetExhaustedError(f"search node budget exhausted; chromatic number in [{lo}, {hi}]")
+    return lo
 
 
 def chromatic_bounds(
     lg: LiftedGraph, refine_budget: int = 10**5
 ) -> tuple[int, int]:
-    """Cheap bracket (lower, upper) for the chromatic number.
+    """Bracket (lower, upper) for the chromatic number, (chi, chi) once
+    decided.  Never raises: each exact decision runs under ``refine_budget``
+    units, and exhaustion leaves the bracket open.
 
-    Never raises: refinement attempts run under ``refine_budget`` nodes
-    each, and exhaustion simply leaves the bracket loose.  Lower bound
-    from bipartiteness and a greedy clique; upper bound from the first
-    descent of the DSATUR search over the whole graph (greedy DSATUR),
-    improved by exact decisions while they stay cheap.
+    The lower bound starts at the clique number and climbs while
+    is_k_colorable refutes it; k <= 2 needs no search, so the climb passes
+    0 (no vertices), 1 (no edges) and 2 (bipartite) for free.  Once a
+    decision censors, the upper bound is greedy DSATUR (the first descent
+    of the DSATUR search over the whole graph), lowered while the next k
+    down is colourable.
     """
-    lo = _chromatic_floor(lg)
-    if lo <= 1:
+    lo = greedy_clique(lg, refine_budget)
+    with suppress(BudgetExhaustedError):
+        while not is_k_colorable(lg, lo, refine_budget):
+            lo += 1
         return (lo, lo)
     m = lg.num_vertices
     hi = 1 + max(_dsatur_decide(lg.simple_adjacency, m, _Budget(m + 1)))
-    while hi > lo:
-        try:
-            if is_k_colorable(lg, hi - 1, budget=refine_budget):
-                hi -= 1
-            else:
-                lo = hi
-        except BudgetExhaustedError:
-            break
+    with suppress(BudgetExhaustedError):
+        while hi - 1 > lo and is_k_colorable(lg, hi - 1, refine_budget):
+            hi -= 1
+        if hi - 1 > lo:  # refuted: chi = hi
+            lo = hi
     return (lo, hi)
 
 

@@ -149,6 +149,17 @@ def test_chromatic_refuses_a_zero_budget(capsys, monkeypatch):
     assert last == "liftchroma chromatic: error: LIFTCHROMA_BUDGET must be an integer >= 1, got '0'"
 
 
+def test_censored_chromatic_names_its_bracket(capsys, monkeypatch):
+    # a censored chi used to end as a bare "search node budget exhausted"
+    monkeypatch.setenv("LIFTCHROMA_BUDGET", "100")
+    with pytest.raises(SystemExit) as exc:
+        main(["chromatic", "--graph", "K6", "--n", "20", "--seed", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "liftchroma chromatic: error: search node budget exhausted; chromatic number in [3, 4]"
+    ]
+
+
 def test_tau_cli(capsys, tmp_path):
     path = tmp_path / "c6.txt"
     # C_6 viewed as a multigraph file: 6 spanning trees

@@ -1,5 +1,6 @@
 import gc
 import heapq
+import itertools
 import os
 import random
 import subprocess
@@ -32,12 +33,13 @@ from liftchroma.coloring import (
     chromatic_number,
     count_proper_colorings,
     count_strongly_equitable,
+    greedy_clique,
     is_bipartite,
     is_k_colorable,
     node_budget,
 )
 from liftchroma.errors import BudgetExhaustedError, TooLargeError
-from liftchroma.lift import enumerate_lifts, expand, sample_lift
+from liftchroma.lift import LiftedGraph, enumerate_lifts, expand, sample_lift
 
 
 def test_equitable_spec_quotas():
@@ -528,6 +530,90 @@ def test_chromatic_bounds_bracket(k4):
     lo, hi = chromatic_bounds(lg)
     assert lo <= chromatic_number(lg) <= hi
     assert (lo, hi) == (3, 3)
+
+
+def _oracle_clique_number(adj):
+    """Clique number by listing, for each vertex v, every subset of its
+    higher-index neighbours, smallest first."""
+    nbrs = [set(a) for a in adj]
+    best = min(1, len(adj))
+    for v, a in enumerate(adj):
+        later = [w for w in a if w > v]
+        for size in range(best, len(later) + 1):
+            if any(
+                all(y in nbrs[x] for x, y in itertools.combinations(sub, 2))
+                for sub in itertools.combinations(later, size)
+            ):
+                best = size + 1
+    return best
+
+
+def _random_graph(m, p, seed):
+    rng = random.Random(seed)
+    pairs = itertools.combinations(range(m), 2)
+    return LiftedGraph(m, tuple(e for e in pairs if rng.random() < p))
+
+
+def test_clique_search_equals_oracle(k4, k5):
+    graphs = [
+        expand(sample_lift(g, n, seed))
+        for g, n in [(k4, 3), (k4, 30), (k5, 4), (k5, 100), (make_complete_graph(6), 5)]
+        for seed in range(6)
+    ]
+    graphs += [_random_graph(m, p, seed) for m in (0, 1, 5, 12) for p in (0.3, 0.7) for seed in range(5)]
+    found = set()
+    for lg in graphs:
+        omega = _oracle_clique_number(lg.simple_adjacency)
+        assert greedy_clique(lg) == omega
+        found.add(omega)
+    assert found >= {0, 1, 2, 3, 4, 5}
+
+
+def test_clique_search_on_a_large_complete_graph():
+    m = 1200
+    lg = LiftedGraph(m, tuple(itertools.combinations(range(m), 2)))
+    assert greedy_clique(lg) == m  # one level of an explicit stack per vertex
+
+
+def test_clique_search_out_of_budget_keeps_a_lower_bound():
+    # a dense graph: each budget returns the size of a clique that exists,
+    # never more than the clique number, and never raises
+    for seed in range(3):
+        lg = _random_graph(20, 0.8, seed)
+        omega = _oracle_clique_number(lg.simple_adjacency)
+        sizes = [greedy_clique(lg, budget) for budget in (1, 2, 3, 5, 10, 100)]
+        assert 2 <= sizes[0] and sizes == sorted(sizes) and sizes[-1] <= omega
+
+
+def test_k4_in_a_lift_decides_chi_without_dsatur(monkeypatch, k5):
+    # the first-50-starts greedy clique said 2 on this lift, so chi spent its
+    # whole budget refuting k = 3; the exact clique gives 4 and Brooks does
+    # the rest.  1000 units let the clique search finish (at 1 it stops
+    # after one edge, and chi censors at [3, 4]).
+    lg = expand(sample_lift(k5, 100, 25))
+    assert greedy_clique(lg) == 4
+
+    def no_dsatur(*args):
+        raise AssertionError("DSATUR ran")
+
+    monkeypatch.setattr(coloring, "_dsatur_decide", no_dsatur)
+    assert chromatic_number(lg, budget=1000) == 4
+    assert chromatic_bounds(lg, refine_budget=1000) == (4, 4)
+
+
+def test_two_colourability_never_searches(k4):
+    # a component of maximum degree >= 3 went to DSATUR at k = 2 and spent
+    # the budget; the bipartite flag decides it
+    cube = LiftedGraph(8, tuple((u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b))
+    assert is_k_colorable(cube, 2, budget=1)
+    assert not is_k_colorable(expand(sample_lift(k4, 50, 0)), 2, budget=1)
+
+
+def test_censored_chi_names_its_bracket():
+    lg = expand(sample_lift(make_complete_graph(6), 20, 0))
+    assert chromatic_bounds(lg, refine_budget=10) == (3, 4)
+    with pytest.raises(BudgetExhaustedError, match=r"chromatic number in \[3, 4\]$"):
+        chromatic_number(lg, budget=10)
 
 
 def _oracle_greedy_upper(adj):
