@@ -18,10 +18,10 @@ the backtracking DSATUR search that decides k-colourability.  That search
 keeps each vertex's neighbour colours as an int bitmask and picks from one
 lazy heap of int keys, each packing a (saturation, degree, vertex) triple
 and pushed only if the heap does not hold it yet.  is_k_colorable gives a
-component of m vertices three phases on one budget: DSATUR on a slice of
-2m units; if that censors, a seeded tabu search from the greedy colouring,
-at most m moves, whose colouring counts once checked proper; if none,
-DSATUR from scratch on the rest.  Only DSATUR answers "not k-colourable".
+component of m vertices two phases on one budget: a seeded tabu search
+from the greedy colouring, at most m moves, whose colouring counts once
+checked proper; if it finds none, DSATUR on the rest.  Only DSATUR answers
+"not k-colourable".
 The proper count runs the frontier programme that also sums E[X] and
 E[Y^2] (moments_exact.frontier_sum); the strongly equitable count is a
 search over canonical colourings.
@@ -287,14 +287,13 @@ def is_k_colorable(lg: LiftedGraph, k: int, budget: int | None = None) -> bool:
     components with maximum degree below k are colourable greedily; those
     with maximum degree exactly k are settled by the Brooks criterion
     (k-colourable unless the component is K_{k+1}).  Only components with
-    maximum degree above k are searched, in three phases that all spend the
-    one budget.  DSATUR runs on a slice of 2m units, m the component's
-    size, which decides most easy components.
-    If that censors, _tabucol starts from the greedy DSATUR colouring (m +
-    1 units) with a Random seeded by m and the component's least vertex; a
-    colouring it finds counts once checked proper.  If it finds none,
-    DSATUR runs from scratch on the rest.  Only DSATUR answers False, and
-    every way out of budget raises BudgetExhaustedError.
+    maximum degree above k are searched, in two phases that both spend the
+    one budget.  _tabucol starts from the greedy DSATUR colouring (m + 1
+    units, m the component's size) with a Random seeded by m and the
+    component's least vertex, and makes at most m moves; a colouring it
+    finds counts once checked proper.  If it finds none, DSATUR runs on the
+    rest.  Only DSATUR answers False, and every way out of budget raises
+    BudgetExhaustedError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -313,21 +312,14 @@ def is_k_colorable(lg: LiftedGraph, k: int, budget: int | None = None) -> bool:
             continue
         local = _local_adjacency(adj, comp)
         m = len(local)
-        rest = b.left - min(b.left, 2 * m)
-        b.left -= rest
-        try:  # DSATUR on a slice of 2m units
+        rng = random.Random(m << 32 | comp[0])
+        found = _tabucol(local, k, _dsatur_decide(local, m, b), b, rng)
+        if found is None:  # DSATUR on the rest of the budget
             found = _dsatur_decide(local, k, b)
-            b.left += rest
-        except BudgetExhaustedError:
-            b.left = rest  # the slice is spent; tabu search from greedy DSATUR
-            rng = random.Random(m << 32 | comp[0])
-            found = _tabucol(local, k, _dsatur_decide(local, m, b), b, rng)
-            if found is None:  # DSATUR from scratch on the rest
-                found = _dsatur_decide(local, k, b)
-            elif len(found) != m or not set(found) <= set(range(k)) or any(
-                found[v] == found[w] for v, a in enumerate(local) for w in a
-            ):
-                raise AssertionError("tabu search returned an improper colouring")
+        elif len(found) != m or not set(found) <= set(range(k)) or any(
+            found[v] == found[w] for v, a in enumerate(local) for w in a
+        ):
+            raise AssertionError("tabu search returned an improper colouring")
         if found is None:
             return False
     return True
@@ -347,8 +339,8 @@ def chromatic_bounds(
     lg: LiftedGraph, refine_budget: int = 10**5
 ) -> tuple[int, int]:
     """Bracket (lower, upper) for the chromatic number, (chi, chi) once
-    decided.  Never raises: each exact decision runs under ``refine_budget``
-    units, and exhaustion leaves the bracket open.
+    decided.  Running out of budget never raises: each exact decision runs
+    under ``refine_budget`` units, and exhaustion leaves the bracket open.
 
     The lower bound starts at the clique number and climbs while
     is_k_colorable refutes it; k <= 2 needs no search, so the climb passes

@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .base_graph import BaseGraph
-from .errors import TooLargeError
+from .errors import InvalidGraphError, TooLargeError
 
 DEFAULT_ENUMERATION_CAP = 10**7
 MAX_CYCLE_LENGTH = 12
@@ -102,14 +102,15 @@ class LiftedGraph:
 
     @functools.cached_property
     def simple_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted distinct neighbours of each vertex, loops dropped: the
-        colouring solvers' view, in which parallel edges impose one
-        constraint."""
+        """Sorted distinct neighbours of each vertex: the colouring solvers'
+        view, in which parallel edges impose one constraint.  A loop has no
+        proper colouring, so it raises InvalidGraphError (a ValueError)."""
         adj = [set() for _ in range(self.num_vertices)]
         for u, w in self.edges:
-            if u != w:
-                adj[u].add(w)
-                adj[w].add(u)
+            if u == w:
+                raise InvalidGraphError(f"loop at vertex {u}: no proper colouring exists")
+            adj[u].add(w)
+            adj[w].add(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
 

@@ -336,27 +336,21 @@ def expected_X_exact(
 
 
 def expected_Y_exact(g: BaseGraph, n: int, k: int) -> Fraction:
-    """E[Y] where Y counts strongly equitable k-colourings (k | n):
-    multinomial(n; n/k, ..., n/k)^{|V|} * (M(t,t)/n!)^{|E|} with t the
-    uniform quota vector."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    if n % k != 0:
+    """E[Y] where Y counts strongly equitable k-colourings (k | n), which is
+    E[Y] under the extended quotas, all n/k there."""
+    if n >= 1 and k >= 1 and n % k:
         raise ValueError(f"strong equitability needs k | n; got n={n}, k={k}")
-    return _expected_Y_from_quotas(g, n, (n // k,) * k)
+    return expected_Y_exact_extended(g, n, k)
 
 
 def expected_Y_exact_extended(g: BaseGraph, n: int, k: int) -> Fraction:
-    """E[Y] under the extended quotas (first n mod k colours get one extra)."""
+    """E[Y] under the extended quotas (first n mod k colours get one extra):
+    multinomial(n; t)^{|V|} * (M(t,t)/n!)^{|E|} with t the quota vector."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    return _expected_Y_from_quotas(g, n, EquitableSpec(k=k, n=n).quotas())
-
-
-def _expected_Y_from_quotas(g: BaseGraph, n: int, t: tuple[int, ...]) -> Fraction:
-    m = proper_matching_count(t, t)
+    t = EquitableSpec(k=k, n=n).quotas()
     return Fraction(
-        multinomial(n, t) ** g.num_vertices * m**g.num_edges,
+        multinomial(n, t) ** g.num_vertices * proper_matching_count(t, t) ** g.num_edges,
         math.factorial(n) ** g.num_edges,
     )
 

@@ -391,9 +391,9 @@ def test_dsatur_refills_a_dry_heap():
 
 
 def _certificate_lifts(doubled_triangle):
-    """Seeded lifts on which DSATUR's 2m slice often censors at k = 3; the
-    K6 lifts with n = 4 and 8 are mostly not 3-colourable, and the last
-    DSATUR phase decides several."""
+    """Seeded lifts on which DSATUR alone often needs more than 2m nodes at
+    k = 3; the K6 lifts with n = 4 and 8 are mostly not 3-colourable, and
+    DSATUR after the tabu search decides several."""
     k5, k6 = make_complete_graph(5), make_complete_graph(6)
     cases = [(k6, 4, range(4)), (k6, 8, range(2)), (k5, 30, range(8)), (k5, 100, range(8)),
              (k6, 20, range(4)), (doubled_triangle, 30, range(6))]
@@ -428,8 +428,9 @@ def test_tabu_certificates_are_proper_and_agree_with_the_oracle(doubled_triangle
     assert found >= 20 and agreed.count(True) >= 15 and agreed.count(False) >= 4
 
 
-def _slice_censored_lift():
-    """A K5 lift whose 1000-unit DSATUR slice censors at k = 3."""
+def _tabu_coloured_lift():
+    """A K5 lift (m = 500) that DSATUR alone does not decide at k = 3 in
+    10**6 nodes, and the tabu search 3-colours in 71 moves."""
     return expand(sample_lift(make_complete_graph(5), 100, 4))
 
 
@@ -442,7 +443,7 @@ def test_an_improper_certificate_raises(monkeypatch, bad):
     # that python -O keeps
     monkeypatch.setattr(coloring, "_tabucol", lambda local_adj, *rest: bad(len(local_adj)))
     with pytest.raises(AssertionError, match="improper colouring"):
-        is_k_colorable(_slice_censored_lift(), 3, budget=10_000)
+        is_k_colorable(_tabu_coloured_lift(), 3, budget=10_000)
 
 
 def _counting_budgets(monkeypatch):
@@ -477,14 +478,15 @@ def _tabu_calls(monkeypatch):
 
 
 def test_phases_spend_at_most_the_budget(monkeypatch, doubled_triangle):
-    # the slice, the greedy start, the moves and the fallback all come out
-    # of the one budget: a censored call spent all of it, a decided one no
+    # the greedy start, the moves and DSATUR after them all come out of
+    # the one budget: a censored call spent all of it, a decided one no
     # more, and budget.left is what it did not spend
     budgets, calls = _counting_budgets(monkeypatch), _tabu_calls(monkeypatch)
     outcomes = set()
-    for lg in [_slice_censored_lift(), *_certificate_lifts(doubled_triangle)[:12]]:
+    for lg in [_tabu_coloured_lift(), *_certificate_lifts(doubled_triangle)[:12]]:
         m = lg.num_vertices
-        for limit in (1, m, 2 * m, 2 * m + 1, 3 * m + 1, 3 * m + 5, 4 * m, 10_000):
+        limits = (1, m, m + 1, 2 * m, 2 * m + 1, 2 * m + 2, 3 * m + 1, 3 * m + 5, 4 * m)
+        for limit in (*limits, 10_000):
             try:
                 is_k_colorable(lg, 3, budget=limit)
                 decided = True
@@ -500,21 +502,56 @@ def test_phases_spend_at_most_the_budget(monkeypatch, doubled_triangle):
     assert outcomes == {True, False} and calls
 
 
-def test_no_tabu_move_within_the_slice(monkeypatch):
-    # with a budget of at most 2m units the slice is all there is
+def test_no_tabu_move_below_the_greedy_start(monkeypatch):
+    # the greedy start costs m + 1 units, so a budget of at most m censors
+    # before the tabu search is called
     calls = _tabu_calls(monkeypatch)
-    lg = _slice_censored_lift()
-    for limit in (1, 500, 999, 1000):
+    lg = _tabu_coloured_lift()
+    m = lg.num_vertices
+    for limit in (1, 250, m - 1, m):
         with pytest.raises(BudgetExhaustedError):
             is_k_colorable(lg, 3, budget=limit)
     assert not calls
     assert is_k_colorable(lg, 3, budget=10_000) and calls
 
 
+@pytest.mark.parametrize("n,seed", [(4, 0), (4, 1), (4, 15), (8, 0), (8, 1)])
+def test_dsatur_runs_once_after_a_failed_tabu_search(monkeypatch, n, seed):
+    # K6 lifts of one component, on which the tabu search spends its m moves
+    # and fails and DSATUR needs more than 2m nodes: the call spends the
+    # greedy start, the m moves and the nodes of one DSATUR search, no more
+    lg = expand(sample_lift(make_complete_graph(6), n, seed))
+    adj = lg.simple_adjacency
+    ((comp, _),) = connected_components(adj)
+    local = _local_adjacency(adj, comp)
+    m = len(local)
+    alone = _Budget(10**7)
+    answer = _dsatur_decide(local, 3, alone) is not None
+    nodes = 10**7 - alone.left
+    assert nodes > 2 * m
+    budgets, calls = _counting_budgets(monkeypatch), _tabu_calls(monkeypatch)
+    assert is_k_colorable(lg, 3, budget=10_000) == answer
+    assert len(calls) == 1
+    assert 10_000 - budgets[-1].left == (m + 1) + m + nodes
+
+
+def test_a_loop_has_no_proper_colouring():
+    # a loop has no proper colouring, so every solver refuses the graph
+    lg = LiftedGraph(2, ((0, 0), (0, 1)))
+    for solve in (
+        lambda: is_k_colorable(lg, 3),
+        lambda: count_proper_colorings(lg, 3),
+        lambda: chromatic_number(lg),
+        lambda: is_bipartite(lg),
+    ):
+        with pytest.raises(ValueError, match="^loop at vertex 0"):
+            solve()
+
+
 def test_certified_answers_are_deterministic(monkeypatch, doubled_triangle):
     # the same lift twice gives the same answer and the same budget left
     budgets = _counting_budgets(monkeypatch)
-    for lg in [_slice_censored_lift(), *_certificate_lifts(doubled_triangle)]:
+    for lg in [_tabu_coloured_lift(), *_certificate_lifts(doubled_triangle)]:
         runs = []
         for _ in range(2):
             try:
